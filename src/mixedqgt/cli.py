@@ -15,6 +15,7 @@ domain violations).
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +41,7 @@ from .states import (
     load_matrix,
     matrix_from_json,
 )
-from .qgt import msqgt_eigenroute, qgt_to_json, thermal_limit_sweep
+from .qgt import msqgt_field, qgt_to_json, thermal_limit_sweep
 from .geodesics import (
     bloch_ellipse_check,
     geodesic_point,
@@ -50,12 +51,7 @@ from .geodesics import (
     solve_geodesic,
 )
 from .transport import holonomy, holonomy_report_json
-from .models import (
-    BlochQubitModel,
-    derivatives,
-    load_grid_model,
-    rotated_field_qubit,
-)
+from .models import BlochQubitModel, load_grid_model, rotated_field_qubit
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -75,14 +71,13 @@ _NUMERICAL_ERRORS = (
 
 DEFAULT_POLE_MARGIN = 0.05
 DEFAULT_GRID_COUNT = 31
+# field sweeps run in chunks of about this many state-matrix entries, so a
+# chunk's stacked arrays stay within a few MB at any Hilbert dimension
+CHUNK_ENTRIES = 1 << 14
 
 
 class _UsageError(ValueError):
     pass
-
-
-def _fmt(value):
-    return f"{value:.17g}"
 
 
 def _emit(text, output):
@@ -94,9 +89,30 @@ def _emit(text, output):
 
 
 def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%.17g"] * len(columns))
+    return "\n".join([",".join(columns), *(line % tuple(row) for row in rows)]) + "\n"
+
+
+def _finite(text):
+    """``float(text)`` refusing NaN and infinities; the type of float options."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
+def _number(raw, what):
+    try:
+        return _finite(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise _UsageError(f"{what}: {exc}") from None
+
+
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_overrides(items):
@@ -105,10 +121,7 @@ def _parse_overrides(items):
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise _UsageError(f"--set expects key=value, got {item!r}")
-        try:
-            out[key] = float(raw)
-        except ValueError:
-            raise _UsageError(f"--set {key}: non-numeric value {raw!r}") from None
+        out[key] = _number(raw, f"--set {key}")
     return out
 
 
@@ -119,10 +132,7 @@ def _parse_scheme(text):
         return "central", 1e-5
     name, sep, raw = text.partition(":")
     if name == "central" and sep:
-        try:
-            h = float(raw)
-        except ValueError:
-            raise _UsageError(f"bad step in --scheme {text!r}") from None
+        h = _number(raw, f"--scheme {text!r} step")
         if h <= 0:
             raise _UsageError(f"--scheme step must be positive, got {h!r}")
         return "central", h
@@ -134,10 +144,11 @@ def _parse_grid_spec(text):
     if len(parts) != 4:
         raise _UsageError(f"--grid expects name:min:max:count, got {text!r}")
     name = parts[0]
+    lo, hi = (_number(raw, f"--grid {text!r} bound") for raw in parts[1:3])
     try:
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        count = int(parts[3])
     except ValueError:
-        raise _UsageError(f"--grid {text!r}: non-numeric bounds or count") from None
+        raise _UsageError(f"--grid {text!r}: non-integer count") from None
     if count < 2:
         raise _UsageError(f"--grid {text!r}: count must be >= 2")
     if hi <= lo:
@@ -151,10 +162,7 @@ def _parse_point(text, labels):
         key, sep, raw = chunk.partition("=")
         if not sep:
             raise _UsageError(f"point expects name=value pairs, got {chunk!r}")
-        try:
-            values[key.strip()] = float(raw)
-        except ValueError:
-            raise _UsageError(f"point coordinate {key!r}: bad value {raw!r}") from None
+        values[key.strip()] = _number(raw, f"point coordinate {key!r}")
     missing = [l for l in labels if l not in values]
     extra = [k for k in values if k not in labels]
     if missing or extra:
@@ -193,10 +201,6 @@ def _resolve_scheme(args_scheme, model):
     return scheme
 
 
-def _pair_indices(n):
-    return [(a, b) for a in range(n) for b in range(a, n)]
-
-
 def _grid_axes(model, grid_specs, pole_margin):
     named = {}
     for spec in grid_specs or []:
@@ -221,21 +225,26 @@ def _grid_axes(model, grid_specs, pole_margin):
     return axes
 
 
-def _field_row(task):
-    model, scheme, h, point = task
+def _field_chunk(task):
+    """Table rows (chart point, Q upper triangle re/im, residuals) of one chunk."""
+    model, scheme, h, points = task
     try:
-        rho = model.evaluate(point)
-        drho = derivatives(model, point, scheme=scheme, h=h) if scheme == "central" \
-            else model.analytic_derivatives(point)
-        q = msqgt_eigenroute(rho, drho, chart=model.param_labels)
+        q, sym, antisym = msqgt_field(model, points, scheme, h)
     except MixedQGTError as exc:
-        raise type(exc)(f"at grid point {list(map(float, point))}: {exc}") from None
-    pairs = _pair_indices(q.dim)
-    row = list(map(float, point))
-    row.extend(q.entries[a, b].real for a, b in pairs)
-    row.extend(q.entries[a, b].imag for a, b in pairs)
-    row.extend([q.sym_residual, q.antisym_residual])
-    return row
+        if len(points) == 1:
+            raise type(exc)(f"at grid point {points[0].tolist()}: {exc}") from None
+        for k in range(len(points)):  # the first failing point names the error
+            _field_chunk((model, scheme, h, points[k:k + 1]))
+        raise
+    upper = np.triu_indices(q.shape[-1])
+    return np.column_stack([points, q.real[:, upper[0], upper[1]],
+                            q.imag[:, upper[0], upper[1]], sym, antisym])
+
+
+def _pair_columns(labels):
+    pairs = list(zip(*np.triu_indices(len(labels))))
+    return ([f"re_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
+            + [f"im_Q_{labels[a]}_{labels[b]}" for a, b in pairs]), pairs
 
 
 def _cmd_field(args):
@@ -243,23 +252,21 @@ def _cmd_field(args):
     scheme, h = _resolve_scheme(args.scheme, model)
     margin = DEFAULT_POLE_MARGIN if args.pole_margin is None else args.pole_margin
     axes = _grid_axes(model, args.grid, margin)
-    points = [np.array([axes[d][i] for d, i in enumerate(idx)])
-              for idx in np.ndindex(*(a.size for a in axes))]
-    workers = args.workers or 1
-    tasks = [(model, scheme, h, p) for p in points]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    # chunk boundaries depend on the state dimension only, never on --workers
+    dim = model.matrix_at(np.mean(model.domain, axis=1)).shape[-1]
+    size = max(1, CHUNK_ENTRIES // (dim * dim))
+    tasks = [(model, scheme, h, points[i:i + size]) for i in range(0, len(points), size)]
+    workers = min(args.workers or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_field_row, tasks,
-                                 chunksize=max(1, len(tasks) // (8 * workers))))
+            blocks = list(pool.map(_field_chunk, tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        rows = [_field_row(t) for t in tasks]
-
+        blocks = [_field_chunk(t) for t in tasks]
+    rows = np.concatenate(blocks).tolist()
     labels = model.param_labels
-    pairs = _pair_indices(len(labels))
-    columns = list(labels)
-    columns += [f"re_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
-    columns += [f"im_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
-    columns += ["sym_residual", "antisym_residual"]
+    columns = list(labels) + _pair_columns(labels)[0] + ["sym_residual", "antisym_residual"]
     fmt = args.format or "csv"
     if fmt == "csv":
         _emit(_csv_text(columns, rows), args.output)
@@ -419,26 +426,19 @@ def _cmd_limit_sweep(args):
         raise _UsageError(f"unknown --set keys for limit-sweep: {sorted(overrides)}")
     if args.model not in (None, "thermal-qubit"):
         raise _UsageError("limit-sweep supports only the thermal-qubit model")
-    try:
-        betas = [float(b) for b in (args.betas or "1,2,5,10,20,40").split(",")]
-    except ValueError:
-        raise _UsageError(f"--betas must be comma-separated numbers, got {args.betas!r}") from None
+    betas = [_number(b, "--betas") for b in (args.betas or "1,2,5,10,20,40").split(",")]
     if args.point is None:
         raise _UsageError("--point is required")
     model = rotated_field_qubit(betas[0], gap=gap)
     point = _parse_point(args.point, model.param_labels)
     result = thermal_limit_sweep(model, point, betas)
 
-    labels = model.param_labels
-    pairs = _pair_indices(len(labels))
+    q_columns, pairs = _pair_columns(model.param_labels)
     devs = result.deviations
     tail_monotone = all(b < a for a, b in zip(devs, devs[1:]))
     fmt = args.format or "csv"
     if fmt == "csv":
-        columns = ["beta"]
-        columns += [f"re_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
-        columns += [f"im_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
-        columns += ["deviation_from_pure", "tail_monotone"]
+        columns = ["beta", *q_columns, "deviation_from_pure", "tail_monotone"]
         rows = []
         for entry in result.entries:
             row = [entry.beta]
@@ -520,9 +520,9 @@ def _build_parser():
     _add_common(field)
     field.add_argument("--grid", action="append", metavar="NAME:MIN:MAX:COUNT")
     field.add_argument("--scheme", help="analytic | central[:h]")
-    field.add_argument("--pole-margin", type=float, dest="pole_margin",
+    field.add_argument("--pole-margin", type=_finite, dest="pole_margin",
                        help="clamp theta grids this far from the poles (default 0.05)")
-    field.add_argument("--workers", type=int, help="process count (default 1)")
+    field.add_argument("--workers", type=_worker_count, help="process count (default 1)")
 
     geo = subs.add_parser("geodesic", help="geodesic between two states")
     _add_common(geo)
@@ -531,7 +531,7 @@ def _build_parser():
     geo.add_argument("--state-a", dest="state_a", metavar="PATH")
     geo.add_argument("--state-b", dest="state_b", metavar="PATH")
     geo.add_argument("--samples", type=int, help="trace sample count (default 201)")
-    geo.add_argument("--angle-margin", type=float, dest="angle_margin")
+    geo.add_argument("--angle-margin", type=_finite, dest="angle_margin")
     geo.add_argument("--allow-rank-deficient", action="store_true",
                      dest="allow_rank_deficient")
 
@@ -550,7 +550,25 @@ def _build_parser():
     return parser
 
 
-def _apply_config(args):
+def _config_value(key, value, action):
+    """A config value, checked as the option's command-line text would be."""
+    try:
+        if action.nargs == 0:  # a flag
+            ok = isinstance(value, bool)
+        elif isinstance(action, argparse._AppendAction):
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+            value = (action.type or str)(str(value)) if ok else value
+            ok = ok and (action.choices is None or value in action.choices)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise _UsageError(f"config key {key!r}: {exc}") from None
+    if not ok:
+        raise _UsageError(f"config key {key!r}: invalid value {value!r}")
+    return value
+
+
+def _apply_config(args, parser):
     if getattr(args, "config", None) is None:
         return
     with open(args.config, encoding="utf-8") as fh:
@@ -560,11 +578,14 @@ def _apply_config(args):
             raise _UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(conf, dict):
         raise _UsageError("config must be a JSON object of option values")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[args.command]._actions}
     for key, value in conf.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config") or not hasattr(args, dest):
             raise _UsageError(f"config key {key!r} is not an option of this command")
-        if getattr(args, dest) is None:
+        value = _config_value(key, value, actions[dest])
+        if getattr(args, dest) is None or getattr(args, dest) is False:
             setattr(args, dest, value)
 
 
@@ -584,7 +605,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except (_UsageError, SchemaError, NoAnalyticDerivativesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

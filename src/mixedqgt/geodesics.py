@@ -13,7 +13,6 @@ pair (psi_0, psi_q), checked at construction.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (
     AngleOutOfRangeError,
@@ -204,7 +203,7 @@ def path_length(samples, times):
     for k, (psi, dpsi) in enumerate(samples):
         horiz = covariant_derivative(psi, dpsi)
         speeds[k] = np.sqrt(max(real_inner(horiz, horiz), 0.0))
-    return float(trapezoid(speeds, times))
+    return float(np.sum(np.diff(times) * (speeds[1:] + speeds[:-1]) / 2.0))
 
 
 @dataclass

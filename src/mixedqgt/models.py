@@ -25,15 +25,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .states import DensityMatrix, Purification, fix_phase, purify
+from .states import DensityMatrix, Purification, check_density_stack, fix_phase, purify
 from .bundle import TangentVector, connection
 
 DEFAULT_FD_STEP = 1e-5
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 
 class ModelFamily:
@@ -41,7 +36,9 @@ class ModelFamily:
 
     Subclasses implement ``matrix_at`` and may provide
     ``analytic_derivative_matrices`` (setting ``analytic = True``) and an
-    analytic ``lift``/``lift_tangents`` pair.
+    analytic ``lift``/``lift_tangents`` pair.  ``matrices_at`` and
+    ``derivative_matrices_at`` are their batched forms over (K, n) stacks of
+    points; by default they stack the per-point results.
     """
 
     analytic = False
@@ -82,12 +79,29 @@ class ModelFamily:
                 f"point has {point.size} coordinates, family needs {self.n_params}"
             )
         for x, lbl, (lo, hi) in zip(point, self.param_labels, self.domain):
-            if x < lo + margin or x > hi - margin:
+            if not lo + margin <= x <= hi - margin:
                 raise OutOfDomainError(
                     f"{lbl} = {x!r} outside [{lo + margin}, {hi - margin}]"
                     + (f" (margin {margin:g})" if margin else "")
                 )
         return point
+
+    def check_points(self, points, margin=0.0):
+        """``check_point`` over a (K, n) stack; the first point outside raises."""
+        if np.ndim(points) != 2 or np.shape(points)[1] != self.n_params:
+            raise DimensionMismatchError(
+                f"points must have shape (K, {self.n_params}), got {np.shape(points)}")
+        lo, hi = np.array(self.domain).T
+        inside = ((points >= lo + margin) & (points <= hi - margin)).all(axis=1)
+        if not inside.all():
+            self.check_point(points[(~inside).argmax()], margin)
+        return points
+
+    def matrices_at(self, points):
+        return np.array([self.matrix_at(p) for p in points], dtype=complex)
+
+    def derivative_matrices_at(self, points):
+        return np.array([self.analytic_derivative_matrices(p) for p in points], dtype=complex)
 
     def evaluate(self, point):
         point = self.check_point(point)
@@ -98,12 +112,7 @@ class ModelFamily:
         return bool(self.analytic)
 
     def analytic_derivatives(self, point):
-        point = self.check_point(point)
-        if not self.analytic:
-            raise NoAnalyticDerivativesError(
-                f"family {self.name!r} declares no analytic derivatives"
-            )
-        return [np.asarray(m, dtype=complex) for m in self.analytic_derivative_matrices(point)]
+        return derivatives(self, point, scheme="analytic")
 
     def lift(self, point):
         """Purification of the state at ``point`` (canonical by default)."""
@@ -165,27 +174,58 @@ def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residu
     domain by at least ``h``).  Central-difference results are Hermitized
     with the worst discarded asymmetry optionally returned.
     """
+    point = model.check_point(point, margin=h if scheme == "central" else 0.0)
+    mats, worst = derivative_stack(model, point[None], scheme, h)
+    mats = list(mats[0])
+    return (mats, float(worst[0])) if return_residual else mats
+
+
+def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP):
+    """``derivatives`` at a (K, n) stack of points, with the worst discarded
+    asymmetry of each point; all 2n central-difference neighbours of every
+    point are evaluated and validated as one stack."""
     if scheme == "analytic":
-        mats = model.analytic_derivatives(point)
-        return (mats, 0.0) if return_residual else mats
+        if not model.analytic:
+            raise NoAnalyticDerivativesError(
+                f"family {model.name!r} declares no analytic derivatives")
+        return model.derivative_matrices_at(model.check_points(points)), np.zeros(len(points))
     if scheme != "central":
         raise ValidationError(f"unknown derivative scheme {scheme!r}")
-    point = model.check_point(point, margin=h)
-    mats = []
-    worst = 0.0
-    for nu in range(model.n_params):
-        offset = np.zeros(model.n_params)
-        offset[nu] = h
-        diff = (model.evaluate(point + offset).mat
-                - model.evaluate(point - offset).mat) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(diff - diff.conj().T))))
-        mats.append(0.5 * (diff + diff.conj().T))
-    return (mats, worst) if return_residual else mats
+    model.check_points(points, margin=h)
+    steps = h * np.eye(points.shape[1])
+    # neighbour (k, nu, side) is points[k] + h e_nu (side 0) or - h e_nu (side 1)
+    neighbours = points[:, None, None, :] + np.stack([steps, -steps], axis=1)
+    mats = model.matrices_at(model.check_points(neighbours.reshape(-1, points.shape[1])))
+    check_density_stack(mats, vectors=False)
+    mats = mats.reshape(*neighbours.shape[:3], *mats.shape[-2:])
+    diff = (mats[:, :, 0] - mats[:, :, 1]) / (2 * h)
+    dag = diff.conj().swapaxes(-1, -2)
+    worst = np.abs(diff - dag).max(axis=(1, 2, 3))
+    return 0.5 * (diff + dag), worst
+
+
+def _pauli(w, x, y, z):
+    """w I + x sigma_x + y sigma_y + z sigma_z over real arrays of shape S: S + (2, 2)."""
+    out = np.empty(np.shape(x) + (2, 2), dtype=complex)
+    out[..., 0, 0] = w + z
+    out[..., 0, 1] = x - 1j * y
+    out[..., 1, 0] = x + 1j * y
+    out[..., 1, 1] = w - z
+    return out
 
 
 def _bloch_axis(theta, phi):
+    st = np.sin(theta)
+    return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+
+
+def _bloch_derivatives(point, scale):
+    """d_theta, d_phi of scale n(theta, phi) . sigma / 2 at (..., 2) points, on axis -3."""
+    theta, phi = point[..., 0], point[..., 1]
     st, ct = np.sin(theta), np.cos(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), ct])
+    sp, cp = np.sin(phi), np.cos(phi)
+    return 0.5 * scale * np.stack([_pauli(0.0, ct * cp, ct * sp, -st),
+                                   _pauli(0.0, -st * sp, st * cp, 0.0)], axis=-3)
 
 
 class BlochQubitModel(ModelFamily):
@@ -207,18 +247,19 @@ class BlochQubitModel(ModelFamily):
         super().__init__("bloch-qubit", ("theta", "phi"),
                          ((0.0, np.pi), (0.0, 2 * np.pi)), check=check)
 
+    # the formulas below broadcast over (K, 2) stacks of chart points
     def matrix_at(self, point):
-        theta, phi = point
-        n = self.r * _bloch_axis(theta, phi)
-        return 0.5 * (_ID2 + n[0] * _SX + n[1] * _SY + n[2] * _SZ)
+        x, y, z = _bloch_axis(point[..., 0], point[..., 1])
+        return 0.5 * _pauli(1.0, self.r * x, self.r * y, self.r * z)
 
     def analytic_derivative_matrices(self, point):
-        theta, phi = point
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        d_theta = 0.5 * self.r * (ct * cp * _SX + ct * sp * _SY - st * _SZ)
-        d_phi = 0.5 * self.r * (-st * sp * _SX + st * cp * _SY)
-        return [d_theta, d_phi]
+        return _bloch_derivatives(point, self.r)
+
+    def matrices_at(self, points):
+        return self.matrix_at(points)
+
+    def derivative_matrices_at(self, points):
+        return self.analytic_derivative_matrices(points)
 
     def _spectral_frame(self, theta, phi):
         half = 0.5 * theta
@@ -334,18 +375,11 @@ class ThermalModel(ModelFamily):
 
 
 def _rotated_field_h(point, gap):
-    theta, phi = point
-    n = _bloch_axis(theta, phi)
-    return 0.5 * gap * (_ID2 + n[0] * _SX + n[1] * _SY + n[2] * _SZ)
+    return 0.5 * gap * _pauli(1.0, *_bloch_axis(point[0], point[1]))
 
 
 def _rotated_field_dh(point, gap):
-    theta, phi = point
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    d_theta = 0.5 * gap * (ct * cp * _SX + ct * sp * _SY - st * _SZ)
-    d_phi = 0.5 * gap * (-st * sp * _SX + st * cp * _SY)
-    return [d_theta, d_phi]
+    return list(_bloch_derivatives(point, gap))
 
 
 def rotated_field_qubit(beta, gap=0.5, check=True):

@@ -23,8 +23,9 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .states import RANK_TOL
+from .states import RANK_TOL, check_density_stack
 from .bundle import EnvOperator, covariant_derivative, env_expectation
+from .models import DEFAULT_FD_STEP, derivative_stack, derivatives
 
 STRUCTURE_TOL = 1e-9
 METRIC_PSD_TOL = 1e-9
@@ -59,24 +60,10 @@ class QGTensor:
                 f"chart has {len(self.chart)} labels for a {n}x{n} tensor"
             )
         self.mirrored = bool(mirrored)
-        re, im = entries.real, entries.imag
-        self.sym_residual = float(np.max(np.abs(re - re.T))) if n else 0.0
-        self.antisym_residual = float(np.max(np.abs(im + im.T))) if n else 0.0
-        if self.sym_residual > tol:
-            raise ValidationError(
-                f"real part not symmetric: residual {self.sym_residual:.3e} > {tol:.1e}"
-            )
-        if self.antisym_residual > tol:
-            raise ValidationError(
-                f"imaginary part not antisymmetric: residual {self.antisym_residual:.3e}"
-                f" > {tol:.1e}"
-            )
-        metric = 0.5 * (re + re.T)
-        self.min_metric_eigenvalue = float(np.linalg.eigvalsh(metric).min()) if n else 0.0
-        if self.min_metric_eigenvalue < -psd_tol:
-            raise ValidationError(
-                f"metric has negative eigenvalue {self.min_metric_eigenvalue:.3e}"
-            )
+        sym, antisym, min_eig = check_tensor_stack(entries[None], tol=tol, psd_tol=psd_tol)
+        self.sym_residual = float(sym[0])
+        self.antisym_residual = float(antisym[0])
+        self.min_metric_eigenvalue = float(min_eig[0])
 
     @property
     def dim(self):
@@ -104,22 +91,43 @@ def qgt_to_json(q):
     }
 
 
-def _check_derivatives(drho_list, dim, herm_tol):
-    mats = []
-    for mu, d in enumerate(drho_list):
-        d = np.asarray(d, dtype=complex)
-        if d.shape != (dim, dim):
+def check_tensor_stack(q, tol=STRUCTURE_TOL, psd_tol=METRIC_PSD_TOL):
+    """QGTensor checks over a (K, n, n) stack: ``(sym, antisym, min_metric_eigenvalue)``
+    residual arrays; the first tensor out of tolerance raises (NaN fails)."""
+    if q.shape[-1] == 0:
+        zero = np.zeros(len(q))
+        return zero, zero, zero
+    re, im = q.real, q.imag
+    re_t = re.swapaxes(-1, -2)
+    sym = np.abs(re - re_t).max(axis=(-2, -1))
+    antisym = np.abs(im + im.swapaxes(-1, -2)).max(axis=(-2, -1))
+    for part, resid in (("real part not symmetric", sym),
+                        ("imaginary part not antisymmetric", antisym)):
+        if not resid.max() <= tol:
             raise ValidationError(
-                f"derivative {mu} has shape {d.shape}, expected {(dim, dim)}"
-            )
-        asym = float(np.max(np.abs(d - d.conj().T)))
-        if asym > herm_tol:
-            raise NonHermitianDerivativeError(
-                f"derivative {mu} not Hermitian: max|d - d^dag| = {asym:.3e}"
-                f" > {herm_tol:.1e}"
-            )
-        mats.append(d)
-    return mats
+                f"{part}: residual {resid[(~(resid <= tol)).argmax()]:.3e} > {tol:.1e}")
+    min_eig = np.linalg.eigvalsh(0.5 * (re + re_t)).min(axis=-1)
+    if not min_eig.min() >= -psd_tol:
+        k = (~(min_eig >= -psd_tol)).argmax()
+        raise ValidationError(f"metric has negative eigenvalue {min_eig[k]:.3e}")
+    return sym, antisym, min_eig
+
+
+def spectral_qgt_stack(p, basis, drho, herm_tol=STRUCTURE_TOL):
+    """Eigenroute tensors Q (K, n, n) from eigenvalues p (K, N), eigenvector
+    columns (K, N, N) and Hermitian derivatives drho (K, n, N, N) of K states,
+    as one contraction; the tensor structure is left unchecked."""
+    asym = np.abs(drho - drho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if not asym.max() <= herm_tol:
+        k = (~(asym.ravel() <= herm_tol)).argmax()
+        raise NonHermitianDerivativeError(
+            f"derivative {k % asym.shape[1]} not Hermitian: max|d - d^dag| ="
+            f" {asym.flat[k]:.3e} > {herm_tol:.1e}"
+        )
+    weights = p[:, :, None] / (p[:, :, None] + p[:, None, :]) ** 2
+    m = basis.conj().swapaxes(-1, -2)[:, None] @ drho @ basis[:, None]
+    terms = weights[:, None, None] * m[:, :, None] * m.swapaxes(-1, -2)[:, None, :]
+    return terms.sum(axis=(-2, -1))
 
 
 def msqgt_eigenroute(rho, drho_list, chart=None, mirror=False, herm_tol=STRUCTURE_TOL):
@@ -127,27 +135,41 @@ def msqgt_eigenroute(rho, drho_list, chart=None, mirror=False, herm_tol=STRUCTUR
 
     Q_{nu mu} = sum_{ik} p_i / (p_i + p_k)^2 * M_nu[i,k] M_mu[k,i]
     with M = V^dag (d rho) V in the eigenbasis of rho.  Full rank is
-    required (the weights blow up on a null eigenvalue pair).
+    required (the weights blow up on a null eigenvalue pair).  This is
+    ``spectral_qgt_stack`` on a stack of one.
     """
     if not rho.full_rank:
         raise RankDeficientError(
             f"state min eigenvalue {rho.min_eigenvalue:.3e} <= rank floor"
             f" {rho.rank_tol:.1e}"
         )
-    mats = _check_derivatives(drho_list, rho.dim, herm_tol)
-    p = rho.eigenvalues
-    basis = rho.eigenvectors
-    weights = p[:, None] / (p[:, None] + p[None, :]) ** 2
-    m = [basis.conj().T @ d @ basis for d in mats]
-    n = len(m)
-    q = np.zeros((n, n), dtype=complex)
-    for nu in range(n):
-        for mu in range(nu if mirror else 0, n):
-            q[nu, mu] = np.sum(weights * m[nu] * m[mu].T)
-        if mirror:
-            for mu in range(nu):
-                q[nu, mu] = np.conj(q[mu, nu])
+    mats = [np.asarray(d, dtype=complex) for d in drho_list]
+    for mu, d in enumerate(mats):
+        if d.shape != (rho.dim, rho.dim):
+            raise ValidationError(
+                f"derivative {mu} has shape {d.shape}, expected {(rho.dim, rho.dim)}"
+            )
+    q = spectral_qgt_stack(rho.eigenvalues[None], rho.eigenvectors[None],
+                           np.array(mats)[None], herm_tol)[0]
+    if mirror:
+        q = np.triu(q) + np.triu(q, 1).conj().T
     return QGTensor(q, chart=chart, mirrored=mirror)
+
+
+def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
+    """``msqgt_eigenroute(model.evaluate(x), derivatives(model, x, scheme, h))``
+    at a (K, n) stack of chart points x, with the same checks in the same order
+    per stage, batched.  Returns Q (K, n, n) and the sym/antisym residuals."""
+    mats = model.matrices_at(model.check_points(points))
+    p, basis = check_density_stack(mats)
+    drho, _ = derivative_stack(model, points, scheme, h)
+    if not p[:, 0].min() > RANK_TOL:
+        k = (~(p[:, 0] > RANK_TOL)).argmax()
+        raise RankDeficientError(
+            f"state min eigenvalue {p[k, 0]:.3e} <= rank floor {RANK_TOL:.1e}")
+    q = spectral_qgt_stack(p, basis, drho)
+    sym, antisym, _ = check_tensor_stack(q)
+    return q, sym, antisym
 
 
 def msqgt_covariant_route(psi, tangents, chart=None, rank_tol=RANK_TOL):
@@ -292,8 +314,6 @@ def thermal_limit_sweep(model, point, betas, h=1e-5):
     The sweep truncates, recording ``truncated_at``, once the thermal
     state falls below the rank floor.
     """
-    from . import models as _models
-
     point = np.asarray(point, dtype=float)
     xi = model.ground_state(point)
     n = len(point)
@@ -313,7 +333,7 @@ def thermal_limit_sweep(model, point, betas, h=1e-5):
         if mb.has_analytic_derivatives:
             drho = mb.analytic_derivatives(point)
         else:
-            drho = _models.derivatives(mb, point, scheme="central", h=h)
+            drho = derivatives(mb, point, scheme="central", h=h)
         try:
             q = msqgt_eigenroute(rho, drho, chart=list(model.param_labels))
         except RankDeficientError:

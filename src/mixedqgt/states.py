@@ -55,10 +55,14 @@ def sorted_eigh(mat, tie_tol=1e-12):
     (re, im) entries.  Returns ``(eigenvalues, eigenvectors)`` with
     eigenvectors as columns.
     """
-    vals, vecs = np.linalg.eigh(mat)
+    return _order_spectrum(*np.linalg.eigh(mat), tie_tol=tie_tol)
+
+
+def _order_spectrum(vals, vecs, tie_tol=1e-12):
+    """Apply the ``sorted_eigh`` conventions to ascending ``eigh`` output."""
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    vecs = np.column_stack([fix_phase(vecs[:, k]) for k in range(vecs.shape[1])])
+    vecs = np.array([fix_phase(col) for col in vecs.T]).T.copy()
     # stable tie-break inside (numerically) degenerate clusters
     start = 0
     for stop in range(1, len(vals) + 1):
@@ -81,6 +85,33 @@ def psd_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def check_density_stack(mats, tol=CONSTRUCTION_TOL, vectors=True):
+    """DensityMatrix checks over a (K, N, N) stack: finite and Hermitian, then
+    unit trace and PSD, each within ``tol``; the first failing matrix of a
+    stage raises and NaN fails.  Returns the ascending eigenvalues (K, N) of
+    the Hermitian parts and, with ``vectors``, their eigenvectors."""
+    dag = mats.conj().swapaxes(-1, -2)
+    resid = np.abs(mats - dag)
+    if not resid.max() <= tol:
+        herm_err = resid.max(axis=(-2, -1))
+        k = (~(herm_err <= tol)).argmax()
+        # a non-finite entry makes its matrix's residual non-finite
+        if not np.isfinite(herm_err[k]):
+            raise ValidationError("density matrix has non-finite (nan or inf) entries")
+        raise NotHermitianError(
+            f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e} > {tol:.1e}")
+    herm = 0.5 * (mats + dag)
+    vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+    worst = np.maximum(trace_err, -vals[:, 0])  # both checks share tol
+    if not worst.max() <= tol:
+        k = (~(worst <= tol)).argmax()
+        if not trace_err[k] <= tol:
+            raise TraceNotOneError(f"trace differs from 1 by {trace_err[k]:.3e} > {tol:.1e}")
+        raise NotPSDError(f"not PSD: min eigenvalue {vals[k, 0]:.3e} < -{tol:.1e}")
+    return vals, vecs
+
+
 class DensityMatrix:
     """Validated Hermitian, PSD, unit-trace N x N matrix.
 
@@ -98,18 +129,9 @@ class DensityMatrix:
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        herm_err = np.max(np.abs(mat - mat.conj().T))
-        if herm_err > tol:
-            raise NotHermitianError(
-                f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e} > {tol:.1e}"
-            )
-        trace_err = abs(np.trace(mat) - 1.0)
-        if trace_err > tol:
-            raise TraceNotOneError(f"trace differs from 1 by {trace_err:.3e} > {tol:.1e}")
-        vals, vecs = sorted_eigh(0.5 * (mat + mat.conj().T))
+        vals, vecs = check_density_stack(mat[None], tol=tol)
+        vals, vecs = _order_spectrum(vals[0], vecs[0])
         min_eig = float(vals[-1])
-        if min_eig < -tol:
-            raise NotPSDError(f"not PSD: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
         self.mat = mat
         self.dim = mat.shape[0]
         self.rank_tol = rank_tol
@@ -136,6 +158,8 @@ def density_violations(matrix, tol=CONSTRUCTION_TOL):
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return [f"shape: not square, got {mat.shape}"]
+    if not np.isfinite(mat).all():
+        return ["finite: non-finite (nan or inf) entries"]
     found = []
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > tol:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mixedqgt import BlochQubitModel, export_grid_model
+from mixedqgt import cli
 
 CLI = shutil.which("mixedqgt")
 
@@ -287,3 +288,115 @@ def test_field_over_grid_model_file(tmp_path):
     for row in rows:
         assert float(row["sym_residual"]) < 1e-9
         assert float(row["antisym_residual"]) < 1e-9
+
+
+FIELD_GRID = ("--grid", "theta:0.3:2.8:9", "--grid", "phi:0.1:6.0:7")
+
+
+def _field_bytes(tmp_path, name, *args):
+    out = tmp_path / name
+    assert cli.main(["field", *args, "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("model, scheme", [("bloch", "analytic"), ("thermal-qubit", "central")])
+def test_field_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, model, scheme):
+    args = ("--model", model, "--scheme", scheme, *FIELD_GRID)
+    default = _field_bytes(tmp_path, "default.csv", *args)
+    for size in (1, 7):
+        monkeypatch.setattr(cli, "CHUNK_ENTRIES", size * 2 * 2)  # points per chunk for N = 2
+        assert _field_bytes(tmp_path, f"chunk{size}.csv", *args) == default
+
+
+def test_field_pool_is_sized_by_chunks_and_cpus(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    serial = _field_bytes(tmp_path, "serial.csv", *FIELD_GRID)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 7 * 2 * 2)  # 63 points: 9 chunks
+    assert _field_bytes(tmp_path, "many.csv", *FIELD_GRID, "--workers", "1000") == serial
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 40 * 2 * 2)  # 2 chunks
+    assert _field_bytes(tmp_path, "two.csv", *FIELD_GRID, "--workers", "1000") == serial
+    assert sizes == [3, 2]
+
+
+def test_field_worker_processes_write_the_serial_bytes(tmp_path, monkeypatch):
+    serial = _field_bytes(tmp_path, "serial.csv", *FIELD_GRID)
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 5 * 2 * 2)
+    assert _field_bytes(tmp_path, "pool.csv", *FIELD_GRID, "--workers", "2") == serial
+
+
+def test_field_failure_names_the_first_failing_point(tmp_path, monkeypatch, capsys):
+    # only the points on the phi = 6.2831853 column are closer than h to the domain edge
+    args = ["field", "--scheme", "central", "--grid", "theta:0.5:2.5:3",
+            "--grid", "phi:1.0:6.2831853:4", "--output", str(tmp_path / "f.csv")]
+    messages = []
+    for size in (1, 2, 4096):
+        monkeypatch.setattr(cli, "CHUNK_ENTRIES", size * 2 * 2)
+        assert cli.main(args) == 4
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0].startswith("error: at grid point [0.5, 6.2831853]: phi = ")
+
+
+def test_field_rank_deficient_family_exits_4_naming_the_point():
+    r = run_cli("field", "--model", "bloch", "--set", "r=1",
+                "--grid", "theta:0.3:2.8:4", "--grid", "phi:0:6:3")
+    assert r.returncode == 4
+    assert "at grid point [0.3, 0.0]" in r.stderr and "rank floor" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("field", "--grid", "theta:0.5:nan:3"),
+    ("field", "--grid", "theta:-inf:2.5:3"),
+    ("field", "--set", "r=nan"),
+    ("field", "--pole-margin", "nan"),
+    ("field", "--scheme", "central:nan"),
+    ("geodesic", "--point-a", "theta=nan,phi=0.2", "--point-b", "theta=1.9,phi=2.4"),
+    ("limit-sweep", "--betas", "1,nan", "--point", "theta=1.2,phi=0.8"),
+])
+def test_non_finite_numbers_are_usage_errors(args):
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert "finite" in r.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "abc"])
+def test_field_rejects_bad_worker_counts(workers):
+    r = run_cli("field", "--workers", workers, *FIELD_GRID)
+    assert r.returncode == 2
+    assert "--workers" in r.stderr
+
+
+@pytest.mark.parametrize("conf, key", [
+    ({"workers": "abc"}, "workers"),
+    ({"workers": 0}, "workers"),
+    ({"workers": 2.5}, "workers"),
+    ({"pole_margin": "wide"}, "pole_margin"),
+    ({"format": "xml"}, "format"),
+    ({"grid": "theta:0.3:2.8:3"}, "grid"),
+    ({"model": ["bloch"]}, "model"),
+])
+def test_config_values_are_type_checked(tmp_path, conf, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(conf))
+    r = run_cli("field", "--config", str(cfg), *FIELD_GRID)
+    assert r.returncode == 2, r.stderr
+    assert f"config key {key!r}" in r.stderr
+    assert "Traceback" not in r.stderr

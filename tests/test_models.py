@@ -9,6 +9,7 @@ from mixedqgt import (
     BlochQubitModel,
     DegenerateSpectrumError,
     DensityMatrix,
+    DimensionMismatchError,
     GridModel,
     InvalidDensityAtNodeError,
     ModelFamily,
@@ -72,6 +73,18 @@ def test_out_of_domain_point_is_rejected():
         model.evaluate([4.0, 0.0])
     with pytest.raises(OutOfDomainError):
         model.evaluate([1.0, -0.5])
+    with pytest.raises(OutOfDomainError, match=r"theta = \S*nan"):
+        model.evaluate([np.nan, 0.5])
+
+
+def test_stacked_domain_check_names_the_first_point_outside():
+    model = BlochQubitModel(r=0.9)
+    points = np.array([[1.0, 0.5], [1.0, 7.0], [np.nan, 0.5]])
+    with pytest.raises(OutOfDomainError, match=r"phi = \S*7\.0"):
+        model.check_points(points)
+    assert model.check_points(points[:1]) is not None
+    with pytest.raises(DimensionMismatchError):
+        model.check_points(np.zeros((2, 3)))
 
 
 def test_lift_purifies_the_family():

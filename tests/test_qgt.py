@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from mixedqgt import (
     DensityMatrix,
     InconsistentStencilError,
     QGTensor,
+    RankDeficientError,
+    ThermalModel,
     ValidationError,
     bures_metric,
+    derivatives,
+    export_grid_model,
     fidelity,
     gauge_curvature,
+    load_grid_model,
     mean_curvature_part,
     msqgt_covariant_route,
     msqgt_eigenroute,
@@ -19,6 +26,7 @@ from mixedqgt import (
     rotated_field_qubit,
     thermal_limit_sweep,
 )
+from mixedqgt.qgt import check_tensor_stack, msqgt_field, spectral_qgt_stack
 from conftest import rand_herm, traceless_herm, rand_density
 
 
@@ -195,3 +203,60 @@ def test_qgt_json_round_trip():
     obj = qgt_to_json(t)
     assert obj["chart"] == ["a", "b"]
     assert np.allclose(np.array(obj["re"]) + 1j * np.array(obj["im"]), t.entries)
+
+
+def test_eigenroute_is_the_stacked_kernel_on_one_state():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5):
+        rho, deltas = linear_family(rng, n)
+        q = msqgt_eigenroute(rho, deltas)
+        stacked = spectral_qgt_stack(rho.eigenvalues[None], rho.eigenvectors[None],
+                                     np.array(deltas)[None])
+        assert np.array_equal(q.entries, stacked[0])
+        sym, antisym, min_eig = check_tensor_stack(stacked)
+        assert (sym[0], antisym[0], min_eig[0]) == (
+            q.sym_residual, q.antisym_residual, q.min_metric_eigenvalue)
+
+
+def _three_level_grid_model(tmp_path):
+    rng = np.random.default_rng(8)
+    h0, h1, h2 = (rand_herm(rng, 3) for _ in range(3))
+    family = ThermalModel(lambda x: h0 + np.cos(x[0]) * h1 + np.sin(x[1]) * h2, 1.0,
+                          ("x", "y"), ((0.0, 1.0), (0.0, 1.0)), check=False)
+    grid = np.linspace(0.0, 1.0, 4)
+    path = tmp_path / "grid3.json"
+    path.write_text(json.dumps(export_grid_model(family, [grid, grid])))
+    return load_grid_model(str(path))
+
+
+@pytest.mark.parametrize("family, scheme", [
+    ("bloch", "analytic"), ("bloch", "central"),
+    ("thermal-qubit", "analytic"), ("thermal-qubit", "central"),
+    ("grid-file", "central"),
+])
+def test_stacked_field_matches_the_per_point_route(tmp_path, family, scheme):
+    if family == "grid-file":
+        model = _three_level_grid_model(tmp_path)
+        axes = [np.linspace(0.05, 0.95, 5), np.linspace(0.1, 0.9, 4)]
+    else:
+        model = BlochQubitModel(r=0.9) if family == "bloch" else rotated_field_qubit(2.0)
+        axes = [np.linspace(0.4, 2.7, 5), np.linspace(0.3, 5.9, 4)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    q, sym, antisym = msqgt_field(model, points, scheme, h=1e-5)
+    for k, x in enumerate(points):
+        ref = msqgt_eigenroute(model.evaluate(x), derivatives(model, x, scheme=scheme, h=1e-5))
+        assert np.max(np.abs(q[k] - ref.entries)) <= 1e-14
+        assert abs(sym[k] - ref.sym_residual) <= 1e-14
+        assert abs(antisym[k] - ref.antisym_residual) <= 1e-14
+
+
+def test_stacked_field_refuses_rank_deficient_states():
+    model = BlochQubitModel(r=1.0)
+    with pytest.raises(RankDeficientError, match="rank floor"):
+        msqgt_field(model, np.array([[0.5, 1.0], [1.0, 1.0]]))
+
+
+def test_stacked_tensor_checks_fail_on_nan():
+    q = np.array([[[0.25, 0.1j], [-0.1j, 0.3]], [[np.nan, 0.0], [0.0, 0.3]]])
+    with pytest.raises(ValidationError, match="not symmetric: residual nan"):
+        check_tensor_stack(q)

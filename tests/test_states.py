@@ -59,6 +59,16 @@ def test_density_violations_lists_everything():
     assert density_violations(np.diag([0.25, 0.75])) == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf in the residual
+def test_non_finite_entries_are_refused_by_name(bad):
+    mat = np.array([[0.6, 0.0], [0.0, 0.4]], dtype=complex)
+    mat[0, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityMatrix(mat)
+    assert density_violations(mat) == ["finite: non-finite (nan or inf) entries"]
+
+
 def test_rank_detection():
     rho = DensityMatrix(np.diag([1.0, 0.0]))
     assert not rho.full_rank
@@ -86,6 +96,22 @@ def test_sorted_eigh_degenerate_block_is_reproducible():
     vals2, vecs2 = sorted_eigh(m)
     assert np.array_equal(vecs, vecs2)
     assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, m)
+
+
+def test_sorted_eigh_phases_match_fix_phase_column_by_column():
+    # the reference is fix_phase applied to each eigh column in turn; the
+    # near-diagonal cases have negligible leading entries (the same rounding
+    # of |entry| matters, so equality is exact)
+    rng = np.random.default_rng(4)
+    mats = [rand_herm(rng, n) for n in (2, 3, 5, 16)]
+    mats += [np.diag([0.95, 0.05]) + 1e-17 * rand_herm(rng, 2),
+             np.diag([0.5, 0.3, 0.2]) + 1e-16 * rand_herm(rng, 3)]
+    for m in mats:
+        vals, vecs = np.linalg.eigh(m)
+        reference = np.column_stack([fix_phase(vecs[:, k]) for k in range(len(vals))])[:, ::-1]
+        sorted_vals, sorted_vecs = sorted_eigh(m)
+        assert np.array_equal(sorted_vals, vals[::-1])
+        assert np.array_equal(sorted_vecs, reference)
 
 
 def test_fix_phase_makes_leading_entry_real_positive():
