@@ -47,7 +47,6 @@ from .states import (
     purify,
     schmidt,
     sorted_eigh,
-    validate_density,
 )
 from .bundle import (
     EnvOperator,

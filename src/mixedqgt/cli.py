@@ -44,13 +44,14 @@ from .states import (
 from .qgt import msqgt_field, qgt_to_json, thermal_limit_sweep
 from .geodesics import (
     bloch_ellipse_check,
+    bloch_vector,
     geodesic_point,
-    geodesic_purification,
     geodesic_samples,
+    ode_residual,
     path_length,
     solve_geodesic,
 )
-from .transport import holonomy, holonomy_report_json
+from .transport import DEFAULT_STEPS, MAX_STEPS, holonomy, holonomy_report_json
 from .models import BlochQubitModel, load_grid_model, rotated_field_qubit
 
 EXIT_OK = 0
@@ -108,11 +109,15 @@ def _number(raw, what):
         raise _UsageError(f"{what}: {exc}") from None
 
 
-def _worker_count(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _count(low, high=math.inf):
+    """argparse type for an integer in [low, high]."""
+    def count(text):
+        value = int(text)
+        if not low <= value <= high:
+            limit = f"at most {high}" if value > high else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
+        return value
+    return count
 
 
 def _parse_overrides(items):
@@ -270,12 +275,10 @@ def _cmd_field(args):
     fmt = args.format or "csv"
     if fmt == "csv":
         _emit(_csv_text(columns, rows), args.output)
-    elif fmt == "json":
+    else:
         scheme_text = "analytic" if scheme == "analytic" else f"central:{h:g}"
         _emit(json.dumps({"model": model.name, "scheme": scheme_text,
                           "columns": columns, "rows": rows}) + "\n", args.output)
-    else:
-        raise _UsageError(f"--format must be csv or json, got {fmt!r}")
     return EXIT_OK
 
 
@@ -301,9 +304,7 @@ def _cmd_geodesic(args):
     margin = 1e-6 if args.angle_margin is None else args.angle_margin
     sol = solve_geodesic(rho_a, rho_b, angle_margin=margin,
                          require_full_rank=not args.allow_rank_deficient)
-    samples = args.samples or 201
-    if samples < 2:
-        raise _UsageError(f"--samples must be >= 2, got {samples}")
+    samples = 201 if args.samples is None else args.samples
     ts = np.linspace(0.0, sol.theta, samples)
     length = path_length(geodesic_samples(sol, ts), ts)
     qubit = rho_a.dim == 2
@@ -325,7 +326,7 @@ def _cmd_geodesic(args):
             },
         }
         _emit(json.dumps(report) + "\n", args.output)
-    elif fmt == "csv":
+    else:
         dim = rho_a.dim
         columns = ["t"]
         columns += [f"re_rho_{i}_{j}" for i in range(dim) for j in range(dim)]
@@ -334,28 +335,17 @@ def _cmd_geodesic(args):
             columns += ["bloch_x", "bloch_y", "bloch_z"]
         columns += ["fidelity_to_a", "fidelity_to_b", "ode_residual"]
         rows = []
-        fd = 1e-3
         for t in ts:
             rho_t = geodesic_point(sol, t)
             row = [float(t)]
             row.extend(rho_t.mat.real.ravel())
             row.extend(rho_t.mat.imag.ravel())
             if qubit:
-                m = rho_t.mat
-                row.extend([
-                    float(2 * m[0, 1].real),
-                    float(2 * m[1, 0].imag),
-                    float((m[0, 0] - m[1, 1]).real),
-                ])
-            mid = geodesic_purification(sol, t).amplitudes
-            plus = geodesic_purification(sol, t + fd).amplitudes
-            minus = geodesic_purification(sol, t - fd).amplitudes
-            accel = float(np.linalg.norm((plus - 2 * mid + minus) / fd ** 2 + mid))
-            row.extend([fidelity(rho_t, rho_a), fidelity(rho_t, rho_b), accel])
+                row.extend(bloch_vector(rho_t.mat))
+            row.extend([fidelity(rho_t, rho_a), fidelity(rho_t, rho_b),
+                        ode_residual(sol, t, 1e-3)])
             rows.append(row)
         _emit(_csv_text(columns, rows), args.output)
-    else:
-        raise _UsageError(f"--format must be csv or json, got {fmt!r}")
     return EXIT_OK
 
 
@@ -410,7 +400,7 @@ def _cmd_holonomy(args):
         # independent, so the seed only exercises that invariance.
         g = _random_unitary(np.random.default_rng(args.seed), model.evaluate(vertices[0]).dim)
         gauge = lambda t: g
-    steps = args.steps or 1024
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
     result = holonomy(curve, steps=steps, reference_gauge=gauge)
     fmt = args.format or "json"
     if fmt != "json":
@@ -447,7 +437,7 @@ def _cmd_limit_sweep(args):
             row.extend([entry.deviation, float(tail_monotone)])
             rows.append(row)
         _emit(_csv_text(columns, rows), args.output)
-    elif fmt == "json":
+    else:
         _emit(json.dumps({
             "betas": result.betas,
             "deviations": result.deviations,
@@ -456,8 +446,6 @@ def _cmd_limit_sweep(args):
             "pure": qgt_to_json(result.pure_tensor),
             "tensors": [qgt_to_json(e.tensor) for e in result.entries],
         }) + "\n", args.output)
-    else:
-        raise _UsageError(f"--format must be csv or json, got {fmt!r}")
     if result.truncated_at is not None:
         print(
             f"error: state fell below the rank floor at beta = {result.truncated_at:g};"
@@ -522,7 +510,7 @@ def _build_parser():
     field.add_argument("--scheme", help="analytic | central[:h]")
     field.add_argument("--pole-margin", type=_finite, dest="pole_margin",
                        help="clamp theta grids this far from the poles (default 0.05)")
-    field.add_argument("--workers", type=_worker_count, help="process count (default 1)")
+    field.add_argument("--workers", type=_count(1), help="process count (default 1)")
 
     geo = subs.add_parser("geodesic", help="geodesic between two states")
     _add_common(geo)
@@ -530,7 +518,7 @@ def _build_parser():
     geo.add_argument("--point-b", dest="point_b", metavar="NAME=VAL,...")
     geo.add_argument("--state-a", dest="state_a", metavar="PATH")
     geo.add_argument("--state-b", dest="state_b", metavar="PATH")
-    geo.add_argument("--samples", type=int, help="trace sample count (default 201)")
+    geo.add_argument("--samples", type=_count(2), help="trace sample count (default 201)")
     geo.add_argument("--angle-margin", type=_finite, dest="angle_margin")
     geo.add_argument("--allow-rank-deficient", action="store_true",
                      dest="allow_rank_deficient")
@@ -538,7 +526,7 @@ def _build_parser():
     hol = subs.add_parser("holonomy", help="holonomy of a closed chart loop")
     _add_common(hol)
     hol.add_argument("--loop", metavar="PATH", help="JSON file with chart vertices")
-    hol.add_argument("--steps", type=int, help="integration steps (default 1024)")
+    hol.add_argument("--steps", type=_count(2, MAX_STEPS), help="integration steps (default 1024)")
 
     sweep = subs.add_parser("limit-sweep", help="thermal tensor toward the pure limit")
     _add_common(sweep)

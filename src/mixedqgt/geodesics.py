@@ -29,12 +29,6 @@ HORIZONTALITY_TOL = 1e-8
 ENDPOINT_TOL = 1e-8
 DEFAULT_ANGLE_MARGIN = 1e-6
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 class GeodesicSolution:
     """Quarter-state representation of a horizontal geodesic."""
@@ -135,8 +129,7 @@ def geodesic_purification(sol, t):
 
 def geodesic_point(sol, t):
     """Density matrix rho(t) along the geodesic."""
-    w = (np.cos(t) * sol.psi0.amplitude_matrix
-         + np.sin(t) * sol.psi_quarter.amplitude_matrix)
+    w = geodesic_purification(sol, t).amplitude_matrix
     return DensityMatrix(w @ w.conj().T)
 
 
@@ -150,7 +143,15 @@ def geodesic_tangent(sol, t):
 
 def geodesic_samples(sol, times):
     """(psi(t), dpsi(t)) pairs at the given parameter values."""
-    return [(geodesic_purification(sol, t), geodesic_tangent(sol, t)) for t in times]
+    return [(x.base, x) for x in (geodesic_tangent(sol, t) for t in times)]
+
+
+def ode_residual(sol, t, h):
+    """Norm of psi'' + psi at t, with psi'' the second difference of step h."""
+    psi = geodesic_purification(sol, t).amplitudes
+    plus = geodesic_purification(sol, t + h).amplitudes
+    minus = geodesic_purification(sol, t - h).amplitudes
+    return float(np.linalg.norm((plus - 2 * psi + minus) / h ** 2 + psi))
 
 
 @dataclass
@@ -169,17 +170,11 @@ def verify_geodesic_ode(sol, times, fd_step=1e-3):
 
     The last two need the interior states to clear the rank floor.
     """
-    accel = 0.0
-    speed = 0.0
-    conn = 0.0
-    h = fd_step
+    accel = speed = conn = 0.0
     for t in times:
-        psi = geodesic_purification(sol, t).amplitudes
-        plus = geodesic_purification(sol, t + h).amplitudes
-        minus = geodesic_purification(sol, t - h).amplitudes
-        accel = max(accel, float(np.linalg.norm((plus - 2 * psi + minus) / h ** 2 + psi)))
-        point = geodesic_purification(sol, t)
+        accel = max(accel, ode_residual(sol, t, fd_step))
         tangent = geodesic_tangent(sol, t)
+        point = tangent.base
         horiz = covariant_derivative(point, tangent)
         speed = max(speed, abs(real_inner(horiz, horiz) - 1.0))
         conn = max(conn, float(np.max(np.abs(connection(point, tangent).mat))))
@@ -217,6 +212,14 @@ class BlochEllipseReport:
     fit_residual: float       # worst failure of the frequency-2 trig form
 
 
+def bloch_vector(rho):
+    """Bloch components (2 Re rho_01, 2 Im rho_10, Re(rho_00 - rho_11)) of a
+    qubit matrix, or along the last axis for a (..., 2, 2) stack."""
+    rho = np.asarray(rho)
+    return np.stack([2 * rho[..., 0, 1].real, 2 * rho[..., 1, 0].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
+
+
 def bloch_ellipse_check(sol, samples=720, degenerate_tol=1e-8):
     """Fit the Bloch-space trace of a qubit geodesic to a conic.
 
@@ -231,11 +234,7 @@ def bloch_ellipse_check(sol, samples=720, degenerate_tol=1e-8):
         raise NotQubitError(f"system dimension {sol.psi0.sys_dim} is not a qubit")
     m = int(samples)
     ts = np.pi * np.arange(m) / m
-    bloch = np.empty((m, 3))
-    for j, t in enumerate(ts):
-        rho = geodesic_point(sol, t).mat
-        for a in range(3):
-            bloch[j, a] = float(np.trace(rho @ _PAULI[a]).real)
+    bloch = bloch_vector(np.array([geodesic_point(sol, t).mat for t in ts]))
 
     cos2, sin2 = np.cos(2 * ts), np.sin(2 * ts)
     center = bloch.mean(axis=0)

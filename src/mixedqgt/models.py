@@ -25,7 +25,8 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .states import DensityMatrix, Purification, check_density_stack, fix_phase, purify
+from .states import (DensityMatrix, Purification, check_density_stack, check_finite,
+                     complex_matrix, fix_phase, purify)
 from .bundle import TangentVector, connection
 
 DEFAULT_FD_STEP = 1e-5
@@ -81,7 +82,7 @@ class ModelFamily:
         for x, lbl, (lo, hi) in zip(point, self.param_labels, self.domain):
             if not lo + margin <= x <= hi - margin:
                 raise OutOfDomainError(
-                    f"{lbl} = {x!r} outside [{lo + margin}, {hi - margin}]"
+                    f"{lbl} = {float(x)!r} outside [{lo + margin}, {hi - margin}]"
                     + (f" (margin {margin:g})" if margin else "")
                 )
         return point
@@ -545,7 +546,7 @@ def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
         _require(not seen[idx], f"duplicate node index {list(idx)}")
         seen[idx] = True
         try:
-            mat = np.asarray(node["re"], dtype=float) + 1j * np.asarray(node["im"], dtype=float)
+            mat = complex_matrix(node["re"], node["im"])
         except (TypeError, ValueError):
             raise SchemaError(f"nodes[{k}] has non-numeric matrix entries") from None
         _require(mat.ndim == 2 and mat.shape[0] == mat.shape[1],
@@ -556,7 +557,7 @@ def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
                  f"nodes[{k}] dimension {mat.shape[0]} differs from previous nodes")
         if validate_nodes:
             try:
-                DensityMatrix(mat)
+                DensityMatrix(check_finite(mat))
             except ValidationError as exc:
                 raise InvalidDensityAtNodeError(f"node {list(idx)}: {exc}") from None
         values[idx] = mat

@@ -330,10 +330,7 @@ def thermal_limit_sweep(model, point, betas, h=1e-5):
     for beta in betas:
         mb = model.with_beta(beta)
         rho = mb.evaluate(point)
-        if mb.has_analytic_derivatives:
-            drho = mb.analytic_derivatives(point)
-        else:
-            drho = derivatives(mb, point, scheme="central", h=h)
+        drho = derivatives(mb, point, "analytic" if mb.analytic else "central", h)
         try:
             q = msqgt_eigenroute(rho, drho, chart=list(model.param_labels))
         except RankDeficientError:

@@ -85,6 +85,13 @@ def psd_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def check_finite(mat):
+    """Refuse a matrix with NaN or infinite entries before arithmetic on it."""
+    if not np.isfinite(mat).all():
+        raise ValidationError("density matrix has non-finite (nan or inf) entries")
+    return mat
+
+
 def check_density_stack(mats, tol=CONSTRUCTION_TOL, vectors=True):
     """DensityMatrix checks over a (K, N, N) stack: finite and Hermitian, then
     unit trace and PSD, each within ``tol``; the first failing matrix of a
@@ -97,7 +104,7 @@ def check_density_stack(mats, tol=CONSTRUCTION_TOL, vectors=True):
         k = (~(herm_err <= tol)).argmax()
         # a non-finite entry makes its matrix's residual non-finite
         if not np.isfinite(herm_err[k]):
-            raise ValidationError("density matrix has non-finite (nan or inf) entries")
+            check_finite(mats[k])
         raise NotHermitianError(
             f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e} > {tol:.1e}")
     herm = 0.5 * (mats + dag)
@@ -142,11 +149,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, full_rank={self.full_rank})"
-
-
-def validate_density(matrix, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
-    """Certify a matrix as a density matrix; see DensityMatrix for invariants."""
-    return DensityMatrix(matrix, tol=tol, rank_tol=rank_tol)
 
 
 def density_violations(matrix, tol=CONSTRUCTION_TOL):
@@ -315,10 +317,16 @@ def matrix_from_json(obj):
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise SchemaError(f"matrix parts must be {n}x{n}, got {re.shape} and {im.shape}")
-    return re + 1j * im
+    return complex_matrix(re, im)
+
+
+def complex_matrix(re, im):
+    """re + 1j * im; infinite parts give non-finite entries without a numpy warning."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 
 def load_matrix(path):
-    """Read a matrix JSON file."""
+    """Read a matrix JSON file for construction, refusing non-finite entries."""
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        return check_finite(matrix_from_json(json.load(fh)))

@@ -13,6 +13,8 @@ The holonomy of a closed loop is U(T) U_0^dag, and its mean is the
 overlap of the start purification with its transported return.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +23,11 @@ from .errors import (
     CoarseGridError,
     DimensionMismatchError,
     NotClosedError,
-    NotUnitaryError,
     RankDeficientError,
     ValidationError,
 )
 from .states import RANK_TOL, DensityMatrix, Purification, fidelity, purify
-from .bundle import connection, env_expectation
+from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
 CLOSURE_TOL = 1e-10
@@ -100,14 +101,6 @@ def reference_lift(base_curve, times, gauge=None):
     return LiftedCurve(times, points, bases)
 
 
-def _check_unitary(u, tol=1e-10):
-    u = np.asarray(u, dtype=complex)
-    err = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if err > tol:
-        raise NotUnitaryError(f"matrix not unitary: max|U^dag U - I| = {err:.3e}")
-    return u
-
-
 def _start_alignment(reference, psi_start, start_tol=PROJECTION_TOL, unitary_tol=1e-8):
     """Environment unitary u0 with psi_start = (I (x) u0) psi_c(0)."""
     base0 = reference.base_points[0]
@@ -148,6 +141,15 @@ def _check_overlaps(reference, overlap_min):
             )
 
 
+def _midpoint_factors(reference, psi_start, overlap_min, rank_tol):
+    """Start alignment u0 and the lazy midpoint factors of every step."""
+    _check_overlaps(reference, overlap_min)
+    u0 = _start_alignment(reference, psi_start)
+    mats = [p.amplitude_matrix for p in reference.points]
+    steps = zip(mats, mats[1:], np.diff(reference.times))
+    return u0, (_step_factor(w0, w1, dt, rank_tol) for w0, w1, dt in steps)
+
+
 def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
                     rank_tol=RANK_TOL):
     """Horizontal lift through psi_start over a reference lift.
@@ -159,19 +161,11 @@ def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
     """
     if psi_start is None:
         psi_start = reference.points[0]
-    _check_overlaps(reference, overlap_min)
-    u0 = _start_alignment(reference, psi_start)
-    times = reference.times
-    mats = [p.amplitude_matrix for p in reference.points]
-    unitaries = [u0]
-    points = [Purification.from_matrix(mats[0] @ u0.T)]
-    u = u0
-    for k in range(len(reference) - 1):
-        dt = times[k + 1] - times[k]
-        u = u @ _step_factor(mats[k], mats[k + 1], dt, rank_tol)
-        unitaries.append(u)
-        points.append(Purification.from_matrix(mats[k + 1] @ u.T))
-    lift = LiftedCurve(times, points, reference.base_points)
+    u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
+    unitaries = list(itertools.accumulate(factors, np.matmul, initial=u0))
+    points = [Purification.from_matrix(p.amplitude_matrix @ u.T)
+              for p, u in zip(reference.points, unitaries)]
+    lift = LiftedCurve(reference.times, points, reference.base_points)
     lift.transport_unitaries = unitaries
     return lift
 
@@ -200,15 +194,10 @@ class HolonomyResult:
 
 
 def _holonomy_once(base_curve, psi_start, steps, overlap_min, rank_tol, reference_gauge):
-    times = np.linspace(0.0, 1.0, steps + 1)
-    reference = reference_lift(base_curve, times, gauge=reference_gauge)
-    _check_overlaps(reference, overlap_min)
-    u0 = _start_alignment(reference, psi_start)
-    mats = [p.amplitude_matrix for p in reference.points]
-    prod = np.eye(psi_start.env_dim, dtype=complex)
-    for k in range(steps):
-        dt = times[k + 1] - times[k]
-        prod = prod @ _step_factor(mats[k], mats[k + 1], dt, rank_tol)
+    reference = reference_lift(base_curve, np.linspace(0.0, 1.0, steps + 1),
+                               gauge=reference_gauge)
+    u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
+    prod = functools.reduce(np.matmul, factors, np.eye(psi_start.env_dim, dtype=complex))
     return u0 @ prod @ u0.conj().T
 
 
@@ -262,8 +251,7 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
                 continue
             estimate = abs(complex(env_expectation(psi_start, u_alt)) - mean)
             break
-    dim = u_hol.shape[0]
-    unit_res = float(np.max(np.abs(u_hol.conj().T @ u_hol - np.eye(dim))))
+    unit_res = float(np.max(np.abs(u_hol.conj().T @ u_hol - np.eye(len(u_hol)))))
     return HolonomyResult(
         unitary=u_hol,
         mean_holonomy=mean,

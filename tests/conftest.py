@@ -1,8 +1,14 @@
 """Shared helpers: random states/curves and the acceptance summary table."""
 
 import numpy as np
+from hypothesis import settings
 
 from mixedqgt import DensityMatrix
+
+# property tests replay one fixed sequence of examples, so tier-1 runs are
+# reproducible; numerical examples vary in cost, so no per-example deadline
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 # one line per acceptance criterion, printed after the run so the
 # pass/fail verdicts survive pytest's output capture

@@ -8,8 +8,9 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mixedqgt import BlochQubitModel, export_grid_model
+from mixedqgt import BlochQubitModel, export_grid_model, geodesic_point, solve_geodesic
 from mixedqgt import cli
+from mixedqgt.geodesics import bloch_vector, ode_residual
 
 CLI = shutil.which("mixedqgt")
 
@@ -400,3 +401,83 @@ def test_config_values_are_type_checked(tmp_path, conf, key):
     assert r.returncode == 2, r.stderr
     assert f"config key {key!r}" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+LOOP = [[0.8, 0.0], [0.8, 2.0], [1.6, 2.0], [1.6, 0.0], [0.8, 0.0]]
+GEODESIC_POINTS = ("--point-a", "theta=0.7,phi=0.2", "--point-b", "theta=1.9,phi=2.4")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("steps", 0), ("steps", 1), ("steps", 2 ** 15 + 1), ("samples", 0), ("samples", 1),
+])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_counts_below_two_or_above_max_steps_are_usage_errors(tmp_path, option, value,
+                                                              via_config):
+    if option == "steps":
+        args = ["holonomy", "--loop", _loop_file(tmp_path / "loop.json", LOOP)]
+    else:
+        args = ["geodesic", *GEODESIC_POINTS]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        args += ["--config", str(cfg)]
+    else:
+        args += [f"--{option}", str(value)]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert (f"config key {option!r}" if via_config else f"--{option}") in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def _state_file(path, mat):
+    path.write_text(json.dumps({"dim": len(mat), "re": np.real(mat).tolist(),
+                                "im": np.imag(mat).tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", [(0, 0, np.inf), (0, 1, 1j * np.inf)])
+def test_non_finite_state_file_fails_with_one_error_line(tmp_path, entry):
+    i, j, value = entry
+    bad = np.diag([0.6, 0.4]).astype(complex)
+    bad[i, j] = value
+    bad_path = _state_file(tmp_path / "bad.json", bad)
+    good_path = _state_file(tmp_path / "good.json", np.diag([0.3, 0.7]))
+    r = run_cli("geodesic", "--state-a", bad_path, "--state-b", good_path)
+    assert r.returncode == 3
+    assert r.stderr == "error: density matrix has non-finite (nan or inf) entries\n"
+    r = run_cli("validate", bad_path)
+    assert r.returncode == 1
+    assert r.stdout == "FAIL finite: non-finite (nan or inf) entries\n"
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("part, col", [("re", 1), ("im", 0)])
+def test_non_finite_grid_node_fails_with_one_error_line(tmp_path, part, col):
+    doc = export_grid_model(BlochQubitModel(r=0.9),
+                            [np.linspace(0.3, 2.8, 3), np.linspace(0.0, 6.0, 3)])
+    doc["nodes"][4][part][1][col] = float("inf")  # re diagonal or im off-diagonal
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("field", "--model", str(path))
+    assert r.returncode == 3
+    assert r.stderr == "error: node [1, 1]: density matrix has non-finite (nan or inf) entries\n"
+    r = run_cli("validate", str(path))
+    assert r.returncode == 1
+    assert r.stdout == "FAIL node [1, 1]: finite: non-finite (nan or inf) entries\n"
+    assert r.stderr == ""
+
+
+def test_geodesic_csv_columns_come_from_the_shared_helpers(tmp_path):
+    out = tmp_path / "geo.csv"
+    args = ["--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS]
+    assert cli.main(["geodesic", *args, "--samples", "9", "--format", "csv",
+                     "--output", str(out)]) == 0
+    model = BlochQubitModel(r=0.9)
+    sol = solve_geodesic(model.evaluate([0.7, 0.2]), model.evaluate([1.9, 2.4]))
+    rows = read_csv(out)
+    assert len(rows) == 9
+    for row in rows:
+        t = float(row["t"])
+        assert float(row["ode_residual"]) == ode_residual(sol, t, 1e-3)
+        bloch = [float(row[f"bloch_{a}"]) for a in "xyz"]
+        assert bloch == bloch_vector(geodesic_point(sol, t).mat).tolist()

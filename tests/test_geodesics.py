@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixedqgt import (
     AngleOutOfRangeError,
@@ -20,6 +22,7 @@ from mixedqgt import (
     solve_geodesic,
     verify_geodesic_ode,
 )
+from mixedqgt.geodesics import DEFAULT_ANGLE_MARGIN, bloch_vector, ode_residual
 from conftest import rand_bloch_density, rand_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -138,3 +141,46 @@ def test_ellipse_check_refuses_non_qubits():
     sol = solve_geodesic(rand_density(rng, 3), rand_density(rng, 3))
     with pytest.raises(NotQubitError):
         bloch_ellipse_check(sol)
+
+
+def test_ode_residual_is_the_accel_bound_of_verify_geodesic_ode():
+    rng = np.random.default_rng(6)
+    sol = solve_geodesic(rand_density(rng, 3), rand_density(rng, 3))
+    times = np.linspace(0.0, sol.theta, 9)
+    report = verify_geodesic_ode(sol, times, fd_step=2e-3)
+    assert report.max_accel_residual == max(ode_residual(sol, t, 2e-3) for t in times)
+
+
+def test_bloch_vector_reads_the_pauli_expectations():
+    rng = np.random.default_rng(7)
+    rho = rand_bloch_density(rng).mat
+    paulis = (SX, np.array([[0, -1j], [1j, 0]]), SZ)
+    expected = [np.trace(rho @ p).real for p in paulis]
+    assert np.allclose(bloch_vector(rho), expected, atol=1e-15)
+    stack = np.array([rho, rho.conj()])
+    assert np.array_equal(bloch_vector(stack)[0], bloch_vector(rho))
+
+
+@st.composite
+def full_rank_pairs(draw):
+    """Two density matrices (a a^dag + 0.1 I)/Tr of one drawn dimension 2..4."""
+    n = draw(st.integers(2, 4))
+    parts = draw(hnp.arrays(np.float64, (2, 2, n, n), elements=st.floats(-1.0, 1.0)))
+    a = parts[:, 0] + 1j * parts[:, 1]
+    m = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
+    return [DensityMatrix(x / np.trace(x).real) for x in m]
+
+
+@settings(max_examples=40)
+@given(full_rank_pairs())
+def test_geodesic_reproduces_random_endpoints(pair):
+    a, b = pair
+    angle = bures_angle(a, b)
+    if angle < DEFAULT_ANGLE_MARGIN:
+        with pytest.raises(AngleOutOfRangeError):
+            solve_geodesic(a, b)
+        return
+    sol = solve_geodesic(a, b)
+    assert sol.theta == pytest.approx(angle, abs=1e-12)
+    for t, rho in ((0.0, a), (sol.theta, b)):
+        assert np.max(np.abs(geodesic_point(sol, t).mat - rho.mat)) < 1e-10

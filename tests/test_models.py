@@ -75,6 +75,11 @@ def test_out_of_domain_point_is_rejected():
         model.evaluate([1.0, -0.5])
     with pytest.raises(OutOfDomainError, match=r"theta = \S*nan"):
         model.evaluate([np.nan, 0.5])
+    # coordinates print as plain floats, not numpy scalar reprs
+    with pytest.raises(OutOfDomainError) as info:
+        model.check_points(np.array([[1.0, 0.0]]), margin=1e-5)
+    assert str(info.value).startswith("phi = 0.0 outside [1e-05, ")
+    assert "np.float64" not in str(info.value)
 
 
 def test_stacked_domain_check_names_the_first_point_outside():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from mixedqgt import (
@@ -165,3 +166,37 @@ def test_holonomy_report_schema():
     assert np.allclose(u, result.unitary)
     assert obj["mean_holonomy"] == [result.mean_holonomy.real,
                                     result.mean_holonomy.imag]
+
+
+@pytest.mark.parametrize("spectrum", [(0.6, 0.4), (0.5, 0.3, 0.2)])
+def test_lift_and_holonomy_share_one_product(spectrum):
+    # the loop starts at a diagonal state whose start alignment u0 comes out
+    # exactly the identity, so both paths multiply the same factors in the
+    # same order and must agree bit for bit
+    n = len(spectrum)
+    rng = np.random.default_rng(13)
+    h0, h1 = rand_herm(rng, n), rand_herm(rng, n)
+    rho0 = np.diag(spectrum).astype(complex)
+
+    def loop(t):
+        u = expm(1j * (np.sin(2 * np.pi * t) * h0 + (np.cos(2 * np.pi * t) - 1.0) * h1))
+        return DensityMatrix(u @ rho0 @ u.conj().T)
+
+    steps = 128
+    lift = horizontal_lift(reference_lift(loop, np.linspace(0.0, 1.0, steps + 1)))
+    u0 = lift.transport_unitaries[0]
+    assert np.array_equal(u0, np.eye(n))
+    result = holonomy(loop, steps=steps, convergence_check=False)
+    assert result.steps == steps
+    assert np.array_equal(lift.transport_unitaries[-1] @ u0.conj().T, result.unitary)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_start_gauge_conjugates_holonomy_property(n, seed):
+    rng = np.random.default_rng(seed)
+    curve = unitary_orbit_curve(rng, n)
+    report = gauge_conjugation_check(curve, rand_unitary(rng, n), steps=64,
+                                     convergence_check=False)
+    assert report.unitary_residual < 1e-10
+    assert report.mean_residual < 1e-10
