@@ -31,6 +31,7 @@ from .errors import (
 )
 from .states import (
     DensityMatrix,
+    DensityStack,
     Purification,
     SchmidtDecomposition,
     bures_angle,
@@ -102,6 +103,7 @@ from .transport import (
 )
 from .models import (
     BlochQubitModel,
+    ChartLoop,
     GridModel,
     ModelFamily,
     ThermalModel,

@@ -25,7 +25,8 @@ from .errors import (
     NotUnitaryError,
     RankDeficientError,
 )
-from .states import RANK_TOL, Purification, partial_trace_sys, schmidt
+from .states import (RANK_TOL, DensityStack, Purification, check_norm_stack,
+                     partial_trace_sys, schmidt)
 
 DEFAULT_FD_STEP = 1e-5
 HERMITICITY_TOL = 1e-10
@@ -33,18 +34,23 @@ UNITARITY_TOL = 1e-10
 
 
 class EnvOperator:
-    """Hermitian operator acting on the environment factor."""
+    """Hermitian operator acting on the environment factor.
+
+    ``entries`` may also be a (K, N, N) stack of K operators; the first one
+    out of tolerance raises, and ``asymmetry`` is the worst of them.
+    """
 
     def __init__(self, entries, tol=HERMITICITY_TOL):
         mat = np.asarray(entries, dtype=complex)
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
-        if asym > tol:
+        asym = np.ravel(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
+        if (asym > tol).any():
             raise NotHermitianError(
-                f"environment operator not Hermitian: max|A - A^dag| = {asym:.3e} > {tol:.1e}"
+                "environment operator not Hermitian: max|A - A^dag| ="
+                f" {asym[(asym > tol).argmax()]:.3e} > {tol:.1e}"
             )
         self.mat = mat
-        self.dim = mat.shape[0]
-        self.asymmetry = asym
+        self.dim = mat.shape[-1]
+        self.asymmetry = float(asym.max())
 
     @classmethod
     def from_symmetrized(cls, entries):
@@ -94,17 +100,20 @@ def lyapunov_superop(sigma, o, rank_tol=None):
 
     In sigma's eigenbasis the solution is <i|O|k> / (q_i + q_k); this is
     the paper-defined superoperator, basis independent for full-rank sigma.
+    A DensityStack sigma with a (K, N, N) stack O solves K equations; the
+    first sigma at or below the rank floor raises.
     """
     tol = sigma.rank_tol if rank_tol is None else rank_tol
-    if sigma.min_eigenvalue <= tol:
+    low = np.ravel(sigma.min_eigenvalue)
+    if (low <= tol).any():
         raise RankDeficientError(
-            f"sigma min eigenvalue {sigma.min_eigenvalue:.3e} <= rank floor {tol:.1e}"
+            f"sigma min eigenvalue {low[(low <= tol).argmax()]:.3e} <= rank floor {tol:.1e}"
         )
     q = sigma.eigenvalues
     basis = sigma.eigenvectors
-    o_tilde = basis.conj().T @ np.asarray(o, dtype=complex) @ basis
-    x_tilde = o_tilde / (q[:, None] + q[None, :])
-    return basis @ x_tilde @ basis.conj().T
+    dag = basis.conj().swapaxes(-1, -2)
+    x_tilde = (dag @ np.asarray(o, dtype=complex) @ basis) / (q[..., :, None] + q[..., None, :])
+    return basis @ x_tilde @ dag
 
 
 def _tangent_matrix(dpsi, psi):
@@ -117,13 +126,23 @@ def connection(psi, dpsi, rank_tol=RANK_TOL):
     """Decomposition-free connection of a curve with tangent dpsi at psi.
 
     Requires the reduced environment state to be full rank (its inverse
-    anticommutator enters); raises RankDeficientError otherwise.
+    anticommutator enters); raises RankDeficientError otherwise.  ``psi``
+    may also be a (K, N, N) stack of amplitude matrices, norm-checked here,
+    with ``dpsi`` a stack of the same shape; the result then holds the K
+    operators, and each check raises for the first matrix it fails.
     """
-    w = psi.amplitude_matrix
-    d = _tangent_matrix(dpsi, psi)
-    rho_env = partial_trace_sys(psi, rank_tol=rank_tol)
-    m = w.conj().T @ d
-    o = (m - m.conj().T).T  # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
+    if isinstance(psi, Purification):
+        w = psi.amplitude_matrix
+        d = _tangent_matrix(dpsi, psi)
+        rho_env = partial_trace_sys(psi, rank_tol=rank_tol)
+    else:
+        w = check_norm_stack(np.asarray(psi, dtype=complex))
+        d = np.asarray(dpsi, dtype=complex)
+        rho_env = DensityStack((w.conj().swapaxes(-1, -2) @ w).swapaxes(-1, -2),
+                               rank_tol=rank_tol)
+    m = w.conj().swapaxes(-1, -2) @ d
+    # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
+    o = (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
     return EnvOperator(-1j * lyapunov_superop(rho_env, o, rank_tol=rank_tol))
 
 
@@ -221,10 +240,13 @@ def finite_difference_tangent(curve, t, h=DEFAULT_FD_STEP):
 
 
 def _check_unitary(u, tol=UNITARITY_TOL):
+    """``u``, one matrix or a (K, N, N) stack, after a unitarity check that
+    raises for the first matrix out of tolerance (NaN fails)."""
     u = np.asarray(u, dtype=complex)
-    err = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if err > tol:
-        raise NotUnitaryError(f"matrix not unitary: max|U^dag U - I| = {err:.3e} > {tol:.1e}")
+    err = np.ravel(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)))
+    if not (err <= tol).all():
+        raise NotUnitaryError("matrix not unitary: max|U^dag U - I| ="
+                              f" {err[(~(err <= tol)).argmax()]:.3e} > {tol:.1e}")
     return u
 
 

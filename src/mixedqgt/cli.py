@@ -36,6 +36,7 @@ from .errors import (
 )
 from .states import (
     DensityMatrix,
+    chunks,
     density_violations,
     fidelity,
     load_matrix,
@@ -52,7 +53,7 @@ from .geodesics import (
     solve_geodesic,
 )
 from .transport import DEFAULT_STEPS, MAX_STEPS, holonomy, holonomy_report_json
-from .models import BlochQubitModel, load_grid_model, rotated_field_qubit
+from .models import BlochQubitModel, ChartLoop, load_grid_model, rotated_field_qubit
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -72,9 +73,6 @@ _NUMERICAL_ERRORS = (
 
 DEFAULT_POLE_MARGIN = 0.05
 DEFAULT_GRID_COUNT = 31
-# field sweeps run in chunks of about this many state-matrix entries, so a
-# chunk's stacked arrays stay within a few MB at any Hilbert dimension
-CHUNK_ENTRIES = 1 << 14
 
 
 class _UsageError(ValueError):
@@ -260,8 +258,7 @@ def _cmd_field(args):
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     # chunk boundaries depend on the state dimension only, never on --workers
     dim = model.matrix_at(np.mean(model.domain, axis=1)).shape[-1]
-    size = max(1, CHUNK_ENTRIES // (dim * dim))
-    tasks = [(model, scheme, h, points[i:i + size]) for i in range(0, len(points), size)]
+    tasks = [(model, scheme, h, points[s]) for s in chunks(len(points), dim)]
     workers = min(args.workers or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -306,16 +303,15 @@ def _cmd_geodesic(args):
                          require_full_rank=not args.allow_rank_deficient)
     samples = 201 if args.samples is None else args.samples
     ts = np.linspace(0.0, sol.theta, samples)
-    length = path_length(geodesic_samples(sol, ts), ts)
     qubit = rho_a.dim == 2
-    ellipse = bloch_ellipse_check(sol) if qubit else None
 
     fmt = args.format or "json"
     if fmt == "json":
+        ellipse = bloch_ellipse_check(sol) if qubit else None
         report = {
             "theta": sol.theta,
             "fidelity": float(np.cos(sol.theta)),
-            "path_length": length,
+            "path_length": path_length(geodesic_samples(sol, ts), ts),
             "samples": int(samples),
             "ellipse": None if ellipse is None else {
                 "center": ellipse.center.tolist(),
@@ -369,19 +365,6 @@ def _load_loop(path, model):
     return np.array(vertices)
 
 
-def _chart_loop_curve(model, vertices):
-    segs = len(vertices) - 1
-
-    def curve(t):
-        s = float(np.clip(t, 0.0, 1.0)) * segs
-        k = min(int(s), segs - 1)
-        frac = s - k
-        point = (1 - frac) * vertices[k] + frac * vertices[k + 1]
-        return model.evaluate(point)
-
-    return curve
-
-
 def _random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -393,7 +376,7 @@ def _cmd_holonomy(args):
     if args.loop is None:
         raise _UsageError("--loop is required")
     vertices = _load_loop(args.loop, model)
-    curve = _chart_loop_curve(model, vertices)
+    curve = ChartLoop(model, vertices)
     gauge = None
     if args.seed is not None:
         # randomized (constant) reference gauge: the result is reference

@@ -70,7 +70,8 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
     unitary V; W_b = sqrt(rho_b) V then satisfies W_0^dag W_b = P Hermitian
     PSD with Tr P = F (the fidelity), which is exactly the horizontality
     alignment.  The quarter state is the normalized component of W_b
-    orthogonal to W_0.
+    orthogonal to W_0, normalized by its computed norm so that close
+    endpoints pass the Purification norm check.
 
     With ``require_full_rank=False`` rank-deficient endpoints are accepted;
     the construction stays well defined (the SVD supplies a full polar
@@ -108,7 +109,11 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
             f"Bures angle {theta:.6f} within margin {angle_margin:.1e} of pi/2:"
             " endpoint supports are (near-)orthogonal"
         )
-    wq = (wb - fid * w0) / np.sin(theta)
+    # |W_b - F W_0| is sin(theta) only while F equals <W_0|W_b>; their
+    # last-bit difference moves the squared norm by about 1e-15 / theta^2,
+    # so divide by the computed norm
+    wq = wb - fid * w0
+    wq = wq / np.linalg.norm(wq)
     sol = GeodesicSolution(Purification.from_matrix(w0), Purification.from_matrix(wq), theta)
 
     for t_end, target, name in ((0.0, rho_a, "a"), (theta, rho_b, "b")):

@@ -167,6 +167,34 @@ class ModelFamily:
         return f"{type(self).__name__}(name={self.name!r}, params={self.param_labels})"
 
 
+class ChartLoop:
+    """Piecewise-linear path through chart vertices as a base curve on [0, 1].
+
+    Vertex k sits at t = k / S for S = len(vertices) - 1, and t is clipped
+    to [0, 1].  ``loop(t)`` is the validated state at one t;
+    ``loop.stack(times)`` gives the (K, N, N) matrices at many t, after one
+    domain check of all their chart points (the first one outside raises).
+    """
+
+    def __init__(self, model, vertices):
+        self.model = model
+        self.vertices = np.asarray(vertices, dtype=float)
+
+    def points(self, times):
+        """Chart points at one t or at an array of t."""
+        segs = len(self.vertices) - 1
+        s = np.clip(np.asarray(times, dtype=float), 0.0, 1.0) * segs
+        k = np.minimum(s.astype(int), segs - 1)
+        frac = (s - k)[..., None]
+        return (1 - frac) * self.vertices[k] + frac * self.vertices[k + 1]
+
+    def __call__(self, t):
+        return self.model.evaluate(self.points(t))
+
+    def stack(self, times):
+        return self.model.matrices_at(self.model.check_points(self.points(times)))
+
+
 def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residual=False):
     """Parameter derivatives of the family's density matrix.
 
@@ -521,6 +549,7 @@ def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
             grid = np.asarray(grid, dtype=float)
         except (TypeError, ValueError):
             raise SchemaError(f"params[{k}].grid has non-numeric entries") from None
+        _require(bool(np.isfinite(grid).all()), f"params[{k}].grid has non-finite entries")
         _require(bool(np.all(np.diff(grid) > 0)),
                  f"params[{k}].grid must be strictly increasing")
         names.append(entry["name"])

@@ -32,6 +32,16 @@ CONSTRUCTION_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-10
 RANK_TOL = 1e-10
 PHASE_TOL = 1e-12
+# stacked paths (field sweeps, transport) work in chunks of about this many
+# matrix entries per stack, so their temporaries stay within a few MB at any N
+CHUNK_ENTRIES = 1 << 14
+
+
+def chunks(count, dim):
+    """Slices covering range(count) in runs of CHUNK_ENTRIES // dim**2 items
+    (at least one), for stacks of dim x dim matrices."""
+    size = max(1, CHUNK_ENTRIES // (dim * dim))
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 def fix_phase(vec):
@@ -73,6 +83,22 @@ def _order_spectrum(vals, vecs, tie_tol=1e-12):
                 vecs[:, start:stop] = vecs[:, order]
             start = stop
     return vals, vecs
+
+
+def _order_spectrum_stack(vals, vecs, tie_tol=1e-12):
+    """``_order_spectrum`` over (K, N) ascending eigenvalues and (K, N, N)
+    eigenvectors: the phase fix is vectorised, and only matrices with
+    (numerically) tied eigenvalues go through the tie-break one at a time."""
+    out_vals = vals[:, ::-1].copy()
+    out_vecs = vecs[..., ::-1]
+    # unit columns always have an entry above PHASE_TOL
+    first = (np.abs(out_vecs) > PHASE_TOL).argmax(axis=-2)[:, None, :]
+    lead = np.take_along_axis(out_vecs, first, axis=-2)
+    out_vecs = out_vecs * (np.abs(lead) / lead)
+    tied = (np.abs(np.diff(out_vals, axis=-1)) <= tie_tol).any(axis=-1)
+    for k in np.flatnonzero(tied):
+        out_vals[k], out_vecs[k] = _order_spectrum(vals[k].copy(), vecs[k], tie_tol)
+    return out_vals, out_vecs
 
 
 def psd_sqrt(mat):
@@ -151,6 +177,22 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, full_rank={self.full_rank})"
 
 
+class DensityStack:
+    """DensityMatrix over a (K, N, N) stack: the same checks (stage by stage,
+    see ``check_density_stack``) and spectral conventions, with a leading
+    stack axis on ``mat``, ``eigenvalues``, ``eigenvectors`` and
+    ``min_eigenvalue``."""
+
+    def __init__(self, mats, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
+        mats = np.asarray(mats, dtype=complex)
+        vals, vecs = _order_spectrum_stack(*check_density_stack(mats, tol=tol))
+        self.mat = mats
+        self.rank_tol = rank_tol
+        self.eigenvalues = vals
+        self.eigenvectors = vecs
+        self.min_eigenvalue = vals[:, -1]
+
+
 def density_violations(matrix, tol=CONSTRUCTION_TOL):
     """All density-matrix violations of a candidate matrix, as messages.
 
@@ -209,6 +251,16 @@ class Purification:
 
     def __repr__(self):
         return f"Purification(sys_dim={self.sys_dim})"
+
+
+def check_norm_stack(amps, tol=CONSTRUCTION_TOL):
+    """The Purification norm check over a (K, N, N) stack of amplitude
+    matrices; the first failing one raises (NaN fails)."""
+    err = np.abs(np.einsum("kij,kij->k", amps.conj(), amps).real - 1.0)
+    if not (err <= tol).all():
+        raise ValidationError(
+            f"norm^2 differs from 1 by {err[(~(err <= tol)).argmax()]:.3e} > {tol:.1e}")
+    return amps
 
 
 def purify(rho):

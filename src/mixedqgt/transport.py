@@ -11,6 +11,13 @@ accumulated as a left-ordered product of midpoint exponentials,
 which keeps every factor exactly unitary and converges at second order.
 The holonomy of a closed loop is U(T) U_0^dag, and its mean is the
 overlap of the start purification with its transported return.
+
+Nodes and steps run as (K, N, N) stacks.  The base curve is evaluated at
+all nodes at once (through its ``stack`` method, else node by node); the
+node decompositions and, per step, the midpoint, its connection and the
+factor's exponential run over chunks of ``states.chunks`` size.  Results
+do not depend on the chunk boundaries, and a failing check names the
+first failing node or step, as a node-by-node loop would.
 """
 
 import functools
@@ -22,11 +29,13 @@ import numpy as np
 from .errors import (
     CoarseGridError,
     DimensionMismatchError,
+    MixedQGTError,
     NotClosedError,
     RankDeficientError,
     ValidationError,
 )
-from .states import RANK_TOL, DensityMatrix, Purification, fidelity, purify
+from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, check_norm_stack,
+                     chunks, fidelity, purify)
 from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
@@ -37,38 +46,128 @@ OVERLAP_MIN = 0.9
 
 
 class LiftedCurve:
-    """Discretized purification curve over known base points."""
+    """Discretized purification curve over known base points.
+
+    ``amplitudes`` holds the amplitude matrix of each node's purification
+    and ``base`` its base density matrix, both as (K, N, N) stacks; the
+    constructor also takes sequences of Purification and DensityMatrix.
+    """
 
     def __init__(self, times, points, base_points, proj_tol=PROJECTION_TOL):
         times = np.asarray(times, dtype=float)
-        if not (len(points) == len(base_points) == times.size):
+        amps, base = _stack(points, "amplitude_matrix"), _stack(base_points, "mat")
+        if not (len(amps) == len(base) == times.size):
             raise DimensionMismatchError(
-                f"{times.size} times, {len(points)} points,"
-                f" {len(base_points)} base points"
+                f"{times.size} times, {len(amps)} points, {len(base)} base points"
             )
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing with >= 2 nodes")
-        worst = 0.0
-        for k, (psi, rho) in enumerate(zip(points, base_points)):
-            w = psi.amplitude_matrix
-            err = float(np.max(np.abs(w @ w.conj().T - rho.mat)))
-            if err > proj_tol:
-                raise ValidationError(
-                    f"node {k}: lift does not project to base point"
-                    f" (max deviation {err:.3e} > {proj_tol:.1e})"
-                )
-            worst = max(worst, err)
+        _check_times(times)
+        err = np.concatenate([
+            np.abs(amps[s] @ amps[s].conj().swapaxes(-1, -2) - base[s]).max(axis=(-2, -1))
+            for s in chunks(len(amps), amps.shape[-1])])
+        if not (err <= proj_tol).all():
+            k = (~(err <= proj_tol)).argmax()
+            raise ValidationError(
+                f"node {k}: lift does not project to base point"
+                f" (max deviation {err[k]:.3e} > {proj_tol:.1e})"
+            )
         self.times = times
-        self.points = list(points)
-        self.base_points = list(base_points)
-        self.projection_residual = worst
+        self.amplitudes = amps
+        self.base = base
+        self.projection_residual = float(err.max())
 
     def __len__(self):
         return self.times.size
 
 
+def _stack(items, attr):
+    if isinstance(items, np.ndarray):
+        return items.astype(complex, copy=False)
+    return np.array([getattr(x, attr) for x in items], dtype=complex)
+
+
+def _check_times(times):
+    times = np.asarray(times, dtype=float)
+    if times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValidationError("times must be strictly increasing with >= 2 nodes")
+    return times
+
+
 def _as_density(value):
     return value if isinstance(value, DensityMatrix) else DensityMatrix(value)
+
+
+def _by_node(fn, *stacks):
+    """``fn`` over stacked nodes or steps.  When a check fails, ``fn`` runs
+    again one node at a time, so the first failing node raises, with its
+    checks in their per-node order."""
+    try:
+        return fn(*stacks)
+    except MixedQGTError:
+        for k in range(len(stacks[0])):
+            fn(*(s[k:k + 1] for s in stacks))
+        raise
+
+
+def _canonical_nodes(base_curve, times):
+    """Validated base matrices and the spectral purification of every node.
+
+    The base stack is the curve's own ``stack(times)`` if it has one, else
+    its values at each t, stacked.
+    """
+    if hasattr(base_curve, "stack"):
+        base = np.asarray(base_curve.stack(times), dtype=complex)
+    else:
+        base = np.array([getattr(rho, "mat", rho) for rho in map(base_curve, times)],
+                        dtype=complex)
+    amps = np.empty_like(base)
+    for s in chunks(len(base), base.shape[-1]):
+        rho = _by_node(DensityStack, base[s])
+        amps[s] = rho.eigenvectors * np.sqrt(np.clip(rho.eigenvalues, 0.0, None))[:, None, :]
+    return base, amps
+
+
+def _column_overlaps(amps):
+    """(K - 1, N) overlaps <w_k,j|w_{k+1},j> of the Schmidt columns j of the
+    K - 1 steps of an amplitude stack; they sum to <psi_k|psi_{k+1}>."""
+    return np.concatenate([np.einsum("kij,kij->kj", amps[:-1][s].conj(), amps[1:][s])
+                           for s in chunks(len(amps) - 1, amps.shape[-1])])
+
+
+def _continuity_phases(amps):
+    """Phases that align each Schmidt column with the same column one node back.
+
+    Column j of node k gets the running product of the unit overlaps
+    <w_{i-1},j|w_i,j> / |.| for i <= k, renormalised to modulus 1; where an
+    overlap is at or below 1e-12 it carries no phase and the product
+    restarts at 1.  The (K, N) phases are small, so the product runs over
+    the whole curve at once, whatever the chunk size.
+    """
+    ov = np.concatenate([np.ones((1, amps.shape[-1])), _column_overlaps(amps)])
+    mag = np.abs(ov)
+    unit = ov / np.where(mag > 0, mag, 1.0)
+    if (mag > 1e-12).all():
+        run = np.multiply.accumulate(unit, axis=0)
+    else:
+        run = unit
+        for k in range(1, len(run)):
+            run[k] = np.where(mag[k] > 1e-12, run[k - 1] * unit[k], 1.0)
+    return run / np.abs(run)
+
+
+def _gauged(w, u):
+    """Norm-checked nodes w, moved by the environment unitaries u."""
+    return check_norm_stack(check_norm_stack(w) @ _check_unitary(u).swapaxes(-1, -2))
+
+
+def _aligned_lift(times, base, amps, gauge):
+    """Reference lift over canonical nodes: phase continuity, then the gauge."""
+    phases = _continuity_phases(amps).conj()[:, None, :]
+    gauges = None if gauge is None else np.array([gauge(t) for t in times], dtype=complex)
+    points = np.empty_like(amps)
+    for s in chunks(len(amps), amps.shape[-1]):
+        w = amps[s] * phases[s]
+        points[s] = check_norm_stack(w) if gauges is None else _by_node(_gauged, w, gauges[s])
+    return LiftedCurve(times, points, base)
 
 
 def reference_lift(base_curve, times, gauge=None):
@@ -79,31 +178,16 @@ def reference_lift(base_curve, times, gauge=None):
     eigenvector phase convention flipping branch along the curve cannot
     masquerade as a genuine discontinuity.  ``gauge``, if given, maps t
     to an environment unitary applied on top (used to randomize the
-    reference for invariance tests).
+    reference for invariance tests).  The nodes are evaluated, checked
+    and decomposed as stacks (see ``_canonical_nodes``).
     """
-    times = np.asarray(times, dtype=float)
-    bases = [_as_density(base_curve(t)) for t in times]
-    points = []
-    prev = None
-    for t, rho in zip(times, bases):
-        w = purify(rho).amplitude_matrix
-        if prev is not None:
-            col = np.einsum("ij,ij->j", prev.conj(), w)
-            mag = np.abs(col)
-            phase = np.where(mag > 1e-12, col / np.where(mag > 0, mag, 1.0), 1.0)
-            w = w * phase.conj()[None, :]
-        prev = w
-        psi = Purification.from_matrix(w)
-        if gauge is not None:
-            u = _check_unitary(gauge(t))
-            psi = Purification.from_matrix(psi.amplitude_matrix @ u.T)
-        points.append(psi)
-    return LiftedCurve(times, points, bases)
+    times = _check_times(times)
+    return _aligned_lift(times, *_canonical_nodes(base_curve, times), gauge)
 
 
 def _start_alignment(reference, psi_start, start_tol=PROJECTION_TOL, unitary_tol=1e-8):
     """Environment unitary u0 with psi_start = (I (x) u0) psi_c(0)."""
-    base0 = reference.base_points[0]
+    base0 = DensityMatrix(reference.base[0])
     w_start = psi_start.amplitude_matrix
     err = float(np.max(np.abs(w_start @ w_start.conj().T - base0.mat)))
     if err > start_tol:
@@ -116,38 +200,44 @@ def _start_alignment(reference, psi_start, start_tol=PROJECTION_TOL, unitary_tol
             f"base point min eigenvalue {base0.min_eigenvalue:.3e} <= rank floor"
             f" {base0.rank_tol:.1e}: start alignment is not unique"
         )
-    u0 = np.linalg.solve(reference.points[0].amplitude_matrix, w_start).T
+    u0 = np.linalg.solve(reference.amplitudes[0], w_start).T
     return _check_unitary(u0, tol=unitary_tol)
 
 
-def _step_factor(w0, w1, dt, rank_tol):
-    """Midpoint transport factor exp(-i A^c(t + dt/2) dt)."""
-    mid = 0.5 * (w0 + w1)
-    mid = mid / np.linalg.norm(mid)
-    deriv = (w1 - w0) / dt
-    a = connection(Purification.from_matrix(mid), deriv, rank_tol=rank_tol).mat
-    w, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(-1j * w * dt)) @ vecs.conj().T
+def _step_factors(amps, times, rank_tol):
+    """Midpoint transport factors exp(-i A^c(t + dt/2) dt), one stack per chunk."""
+    dts = np.diff(times)
+    for s in chunks(len(dts), amps.shape[-1]):
+        w0, w1, dt = amps[:-1][s], amps[1:][s], dts[s]
+        mid = 0.5 * (w0 + w1)
+        mid = mid / np.linalg.norm(mid, axis=(-2, -1))[:, None, None]
+        a = _by_node(functools.partial(connection, rank_tol=rank_tol),
+                     mid, (w1 - w0) / dt[:, None, None]).mat
+        w, vecs = np.linalg.eigh(a)
+        yield (vecs * np.exp(-1j * w * dt[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _check_overlaps(reference, overlap_min):
-    for k in range(len(reference) - 1):
-        ov = abs(reference.points[k].overlap(reference.points[k + 1]))
-        if ov <= overlap_min:
-            raise CoarseGridError(
-                f"reference overlap |<psi_{k}|psi_{k + 1}>| = {ov:.4f} <="
-                f" {overlap_min}: grid too coarse for the curve (or the"
-                " canonical lift crosses a phase branch)"
-            )
+    ov = np.abs(_column_overlaps(reference.amplitudes).sum(axis=-1))
+    if (ov <= overlap_min).any():
+        k = (ov <= overlap_min).argmax()
+        raise CoarseGridError(
+            f"reference overlap |<psi_{k}|psi_{k + 1}>| = {ov[k]:.4f} <="
+            f" {overlap_min}: grid too coarse for the curve (or the"
+            " canonical lift crosses a phase branch)"
+        )
 
 
 def _midpoint_factors(reference, psi_start, overlap_min, rank_tol):
-    """Start alignment u0 and the lazy midpoint factors of every step."""
+    """Start alignment u0 and the lazy midpoint factors of every step.
+
+    The factors are computed a chunk of steps at a time and handed out one
+    by one, in step order.
+    """
     _check_overlaps(reference, overlap_min)
     u0 = _start_alignment(reference, psi_start)
-    mats = [p.amplitude_matrix for p in reference.points]
-    steps = zip(mats, mats[1:], np.diff(reference.times))
-    return u0, (_step_factor(w0, w1, dt, rank_tol) for w0, w1, dt in steps)
+    chunked = _step_factors(reference.amplitudes, reference.times, rank_tol)
+    return u0, itertools.chain.from_iterable(chunked)
 
 
 def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
@@ -155,17 +245,18 @@ def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
     """Horizontal lift through psi_start over a reference lift.
 
     Returns a LiftedCurve whose nodes are the transported purifications;
-    the accumulated environment unitaries are attached as
-    ``transport_unitaries`` (one per node, identity gauge at the start
-    meaning U_0 = u0, the start alignment).
+    the accumulated environment unitaries are attached as the (K, N, N)
+    stack ``transport_unitaries`` (one per node, identity gauge at the
+    start meaning U_0 = u0, the start alignment).
     """
     if psi_start is None:
-        psi_start = reference.points[0]
+        psi_start = Purification.from_matrix(reference.amplitudes[0])
     u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
-    unitaries = list(itertools.accumulate(factors, np.matmul, initial=u0))
-    points = [Purification.from_matrix(p.amplitude_matrix @ u.T)
-              for p, u in zip(reference.points, unitaries)]
-    lift = LiftedCurve(reference.times, points, reference.base_points)
+    unitaries = np.array(list(itertools.accumulate(factors, np.matmul, initial=u0)))
+    points = reference.amplitudes @ unitaries.swapaxes(-1, -2)
+    for s in chunks(len(points), points.shape[-1]):
+        check_norm_stack(points[s])
+    lift = LiftedCurve(reference.times, points, reference.base)
     lift.transport_unitaries = unitaries
     return lift
 
@@ -176,11 +267,9 @@ def lift_fidelity_residuals(lift):
     For a horizontal lift the purification overlap saturates the fidelity
     bound to integrator accuracy; the residuals quantify the saturation.
     """
-    out = np.empty(len(lift) - 1)
-    for k in range(len(lift) - 1):
-        ov = abs(lift.points[k].overlap(lift.points[k + 1]))
-        out[k] = abs(fidelity(lift.base_points[k], lift.base_points[k + 1]) - ov)
-    return out
+    bases = [DensityMatrix(m) for m in lift.base]
+    fid = np.array([fidelity(a, b) for a, b in zip(bases, bases[1:])])
+    return np.abs(fid - np.abs(_column_overlaps(lift.amplitudes).sum(axis=-1)))
 
 
 @dataclass
@@ -193,9 +282,8 @@ class HolonomyResult:
     unitarity_residual: float
 
 
-def _holonomy_once(base_curve, psi_start, steps, overlap_min, rank_tol, reference_gauge):
-    reference = reference_lift(base_curve, np.linspace(0.0, 1.0, steps + 1),
-                               gauge=reference_gauge)
+def _holonomy_once(times, base, amps, psi_start, overlap_min, rank_tol, reference_gauge):
+    reference = _aligned_lift(times, base, amps, reference_gauge)
     u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
     prod = functools.reduce(np.matmul, factors, np.eye(psi_start.env_dim, dtype=complex))
     return u0 @ prod @ u0.conj().T
@@ -229,8 +317,10 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
     if n > max_steps:
         raise ValidationError(f"steps = {n} exceeds max_steps = {max_steps}")
     while True:
+        times = np.linspace(0.0, 1.0, n + 1)
+        nodes = _canonical_nodes(base_curve, times)
         try:
-            u_hol = _holonomy_once(base_curve, psi_start, n, overlap_min,
+            u_hol = _holonomy_once(times, *nodes, psi_start, overlap_min,
                                    rank_tol, reference_gauge)
             break
         except CoarseGridError:
@@ -244,8 +334,15 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
         for n_alt in (n // 2, 2 * n):
             if n_alt < 2 or n_alt > max_steps:
                 continue
+            alt_times = np.linspace(0.0, 1.0, n_alt + 1)
+            # for even n the half grid is every second node, bit for bit, so
+            # its decomposed nodes are reused; any other grid is evaluated
+            if np.array_equal(alt_times, times[::2]):
+                alt_nodes = tuple(x[::2] for x in nodes)
+            else:
+                alt_nodes = _canonical_nodes(base_curve, alt_times)
             try:
-                u_alt = _holonomy_once(base_curve, psi_start, n_alt, overlap_min,
+                u_alt = _holonomy_once(alt_times, *alt_nodes, psi_start, overlap_min,
                                        rank_tol, reference_gauge)
             except CoarseGridError:
                 continue

@@ -4,9 +4,12 @@ from scipy.linalg import expm
 
 from mixedqgt import (
     DensityMatrix,
+    DensityStack,
     DimensionMismatchError,
     EnvOperator,
     NotHermitianError,
+    NotUnitaryError,
+    RankDeficientError,
     Purification,
     TangentVector,
     connection,
@@ -24,6 +27,7 @@ from mixedqgt import (
     schmidt_curve_derivative,
     vertical_project,
 )
+from mixedqgt.bundle import _check_unitary
 from conftest import rand_density, rand_herm, rand_unitary, unitary_orbit_curve
 
 
@@ -189,3 +193,31 @@ def test_gauge_transform_shifts_connection_by_generator():
     (psi_g, dpsi_g), = gauge_transform_curve([(psi, tv)], [np.eye(3)], [1j * g])
     a_after = connection(psi_g, dpsi_g.components)
     assert np.allclose(a_after.mat, a_before.mat + g, atol=1e-8)
+
+
+def test_connection_broadcasts_over_a_stack():
+    rng = np.random.default_rng(17)
+    for n in (2, 3):
+        psis = [purify(rand_density(rng, n)) for _ in range(5)]
+        tangents = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in psis]
+        stacked = connection(np.array([p.amplitude_matrix for p in psis]), np.array(tangents))
+        assert stacked.mat.shape == (5, n, n)
+        for k, (psi, d) in enumerate(zip(psis, tangents)):
+            assert np.max(np.abs(stacked.mat[k] - connection(psi, d).mat)) < 1e-13
+
+
+def test_stacked_operator_checks_name_the_first_failing_matrix():
+    ops = np.array([np.diag([1.0, 2.0])] * 4, dtype=complex)
+    ops[1, 0, 1] = 3e-10
+    ops[3, 0, 1] = 5e-9
+    with pytest.raises(NotHermitianError, match=r"= 3\.000e-10 > 1\.0e-10$"):
+        EnvOperator(ops)
+    us = np.array([np.eye(2)] * 4, dtype=complex)
+    us[2] *= 1.0 + 1e-9
+    us[3] *= 1.0 + 1e-6
+    with pytest.raises(NotUnitaryError, match=r"= 2\.000e-09 > 1\.0e-10$"):
+        _check_unitary(us)
+    with pytest.raises(RankDeficientError, match=r"^sigma min eigenvalue 0\.000e\+00 <= rank floor"):
+        lyapunov_superop(DensityStack(np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])])),
+                         np.zeros((2, 2, 2)))

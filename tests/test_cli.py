@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixedqgt import BlochQubitModel, export_grid_model, geodesic_point, solve_geodesic
-from mixedqgt import cli
+from mixedqgt import cli, states
 from mixedqgt.geodesics import bloch_vector, ode_residual
 
 CLI = shutil.which("mixedqgt")
@@ -305,7 +305,7 @@ def test_field_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, model, sc
     args = ("--model", model, "--scheme", scheme, *FIELD_GRID)
     default = _field_bytes(tmp_path, "default.csv", *args)
     for size in (1, 7):
-        monkeypatch.setattr(cli, "CHUNK_ENTRIES", size * 2 * 2)  # points per chunk for N = 2
+        monkeypatch.setattr(states, "CHUNK_ENTRIES", size * 2 * 2)  # points per chunk for N = 2
         assert _field_bytes(tmp_path, f"chunk{size}.csv", *args) == default
 
 
@@ -330,16 +330,16 @@ def test_field_pool_is_sized_by_chunks_and_cpus(tmp_path, monkeypatch):
     serial = _field_bytes(tmp_path, "serial.csv", *FIELD_GRID)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 7 * 2 * 2)  # 63 points: 9 chunks
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # 63 points: 9 chunks
     assert _field_bytes(tmp_path, "many.csv", *FIELD_GRID, "--workers", "1000") == serial
-    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 40 * 2 * 2)  # 2 chunks
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 40 * 2 * 2)  # 2 chunks
     assert _field_bytes(tmp_path, "two.csv", *FIELD_GRID, "--workers", "1000") == serial
     assert sizes == [3, 2]
 
 
 def test_field_worker_processes_write_the_serial_bytes(tmp_path, monkeypatch):
     serial = _field_bytes(tmp_path, "serial.csv", *FIELD_GRID)
-    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 5 * 2 * 2)
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 5 * 2 * 2)
     assert _field_bytes(tmp_path, "pool.csv", *FIELD_GRID, "--workers", "2") == serial
 
 
@@ -349,7 +349,7 @@ def test_field_failure_names_the_first_failing_point(tmp_path, monkeypatch, caps
             "--grid", "phi:1.0:6.2831853:4", "--output", str(tmp_path / "f.csv")]
     messages = []
     for size in (1, 2, 4096):
-        monkeypatch.setattr(cli, "CHUNK_ENTRIES", size * 2 * 2)
+        monkeypatch.setattr(states, "CHUNK_ENTRIES", size * 2 * 2)
         assert cli.main(args) == 4
         messages.append(capsys.readouterr().err)
     assert messages[0] == messages[1] == messages[2]
@@ -481,3 +481,41 @@ def test_geodesic_csv_columns_come_from_the_shared_helpers(tmp_path):
         assert float(row["ode_residual"]) == ode_residual(sol, t, 1e-3)
         bloch = [float(row[f"bloch_{a}"]) for a in "xyz"]
         assert bloch == bloch_vector(geodesic_point(sol, t).mat).tolist()
+
+
+def test_geodesic_csv_skips_the_unreported_length_and_ellipse(tmp_path, monkeypatch):
+    args = ["geodesic", "--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS,
+            "--samples", "21", "--format", "csv"]
+    plain = tmp_path / "plain.csv"
+    assert cli.main([*args, "--output", str(plain)]) == 0
+
+    def refuse(*a, **kw):
+        raise AssertionError("CSV output computed an unreported quantity")
+
+    monkeypatch.setattr(cli, "path_length", refuse)
+    monkeypatch.setattr(cli, "bloch_ellipse_check", refuse)
+    skipped = tmp_path / "skipped.csv"
+    assert cli.main([*args, "--output", str(skipped)]) == 0
+    assert skipped.read_bytes() == plain.read_bytes()
+    with pytest.raises(AssertionError):
+        cli.main([*args[:-2], "--output", str(tmp_path / "geo.json")])
+
+
+def test_geodesic_between_close_points_succeeds():
+    r = run_cli("geodesic", "--point-a", "theta=0.7,phi=0.2", "--point-b", "theta=0.71,phi=0.2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["theta"] == pytest.approx(0.0045, rel=1e-3)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_grid_axis_fails_with_one_error_line(tmp_path, value):
+    doc = export_grid_model(BlochQubitModel(r=0.8),
+                            [np.linspace(0.3, 2.8, 3), np.linspace(0.0, 6.0, 3)])
+    doc["params"][1]["grid"][-1] = value
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    for args in (("validate", str(path)), ("field", "--model", str(path))):
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert r.stderr == "error: params[1].grid has non-finite entries\n"
+        assert r.stdout == ""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mixedqgt import (
@@ -182,5 +182,29 @@ def test_geodesic_reproduces_random_endpoints(pair):
         return
     sol = solve_geodesic(a, b)
     assert sol.theta == pytest.approx(angle, abs=1e-12)
+    for t, rho in ((0.0, a), (sol.theta, b)):
+        assert np.max(np.abs(geodesic_point(sol, t).mat - rho.mat)) < 1e-10
+
+
+@st.composite
+def close_pairs(draw):
+    """A drawn full-rank pair (a, c) turned into (a, a + eps c), normalized,
+    with eps from 1e-3 to 1e-1: Bures angles mostly between 1e-4 and 1e-1,
+    where the quarter state's norm used to fail its check."""
+    a, c = draw(full_rank_pairs())
+    m = a.mat + 10.0 ** draw(st.floats(-3.0, -1.0)) * c.mat
+    return a, DensityMatrix(m / np.trace(m).real)
+
+
+@settings(max_examples=40)
+@given(close_pairs())
+def test_geodesic_reproduces_close_endpoints(pair):
+    a, b = pair
+    fid = fidelity(a, b)
+    # arccos near 0 amplifies the fidelity's rounding by 1/sin(theta): below
+    # 1e-4 the angle itself is known to worse than 1e-12
+    assume(np.arccos(fid) >= 1e-4)
+    sol = solve_geodesic(a, b)
+    assert np.cos(sol.theta) == pytest.approx(fid, abs=2e-15)
     for t, rho in ((0.0, a), (sol.theta, b)):
         assert np.max(np.abs(geodesic_point(sol, t).mat - rho.mat)) < 1e-10

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from mixedqgt import (
     BlochQubitModel,
+    ChartLoop,
     DegenerateSpectrumError,
     DensityMatrix,
     DimensionMismatchError,
@@ -241,6 +242,11 @@ def test_grid_rejects_bad_nodes_and_schema():
     decreasing["params"][0]["grid"] = [1.0, 0.0]
     with pytest.raises(SchemaError):
         load_grid_model(decreasing)
+    for value in (float("inf"), float("nan")):
+        unbounded = json.loads(json.dumps(base))
+        unbounded["params"][0]["grid"][1] = value
+        with pytest.raises(SchemaError, match=r"^params\[0\]\.grid has non-finite entries$"):
+            load_grid_model(unbounded, check=False, validate_nodes=False)
 
 
 def test_grid_trace_band():
@@ -299,3 +305,29 @@ def test_dense_grid_reproduces_tensor_at_nodes():
         q_grid = msqgt_eigenroute(grid.evaluate(pt), derivatives(grid, pt, h=h))
         q_true = msqgt_eigenroute(model.evaluate(pt), model.analytic_derivatives(pt))
         assert np.max(np.abs(q_grid.entries - q_true.entries)) < 1e-3
+
+
+def test_chart_loop_stack_matches_its_nodes():
+    model = BlochQubitModel(r=0.9)
+    loop = ChartLoop(model, [[0.8, 0.0], [0.8, 2.0], [1.6, 2.0], [0.8, 0.0]])
+    times = np.linspace(0.0, 1.0, 13)
+    points = loop.points(times)
+    assert np.array_equal(points[[0, 4, 8, 12]], loop.vertices)
+    stack = loop.stack(times)
+    for t, point, mat in zip(times, points, stack):
+        # the scalar path interpolates the same chart point
+        assert np.array_equal(loop.points(t), point)
+        assert np.array_equal(loop(t).mat, mat)
+        assert np.array_equal(model.evaluate(point).mat, mat)
+
+
+def test_chart_loop_stack_names_the_first_point_outside():
+    loop = ChartLoop(BlochQubitModel(r=0.9), [[1.0, 0.5], [1.0, 7.0], [4.0, 0.5], [1.0, 0.5]])
+    times = np.linspace(0.0, 1.0, 31)
+    with pytest.raises(OutOfDomainError) as stacked:
+        loop.stack(times)
+    with pytest.raises(OutOfDomainError) as scalar:
+        for t in times:
+            loop(t)
+    assert str(stacked.value) == str(scalar.value)
+    assert str(stacked.value).startswith("phi = ")

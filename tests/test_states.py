@@ -5,6 +5,7 @@ import pytest
 
 from mixedqgt import (
     DensityMatrix,
+    DensityStack,
     NotHermitianError,
     NotPSDError,
     Purification,
@@ -26,6 +27,7 @@ from mixedqgt import (
     schmidt,
     sorted_eigh,
 )
+from mixedqgt.states import check_norm_stack
 from conftest import rand_density, rand_herm, rand_unitary
 
 
@@ -242,3 +244,31 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})
     with pytest.raises(SchemaError):
         matrix_from_json({"dim": 3, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]})
+
+
+def test_density_stack_follows_the_density_matrix_conventions():
+    # generic matrices differ from DensityMatrix only by the rounding of the
+    # vectorised phase fix; a matrix with tied eigenvalues takes the
+    # DensityMatrix tie-break itself and matches exactly
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 5):
+        mats = np.array([rand_density(rng, n).mat for _ in range(6)])
+        mats[4] = np.eye(n) / n + 1e-14 * rand_herm(rng, n)
+        stack = DensityStack(mats)
+        for k, m in enumerate(mats):
+            rho = DensityMatrix(m)
+            assert np.array_equal(stack.eigenvalues[k], rho.eigenvalues)
+            assert stack.min_eigenvalue[k] == rho.min_eigenvalue
+            if k == 4:
+                assert np.array_equal(stack.eigenvectors[k], rho.eigenvectors)
+            else:
+                assert np.max(np.abs(stack.eigenvectors[k] - rho.eigenvectors)) < 1e-15
+
+
+def test_stacked_norm_check_names_the_first_failing_purification():
+    w = np.array([purify(DensityMatrix(np.diag([0.6, 0.4]))).amplitude_matrix] * 4)
+    w[2] *= 1.0 + 1e-11
+    w[3] *= 1.0 + 1e-9
+    check_norm_stack(w[:2])
+    with pytest.raises(ValidationError, match=r"^norm\^2 differs from 1 by 2\.0\d\de-11 > 1\.0e-12$"):
+        check_norm_stack(w)

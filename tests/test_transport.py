@@ -4,10 +4,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from mixedqgt import (
+    BlochQubitModel,
+    ChartLoop,
     CoarseGridError,
     DensityMatrix,
+    DensityStack,
     NotClosedError,
+    NotHermitianError,
+    NotPSDError,
+    NotUnitaryError,
+    Purification,
+    RankDeficientError,
     ValidationError,
+    connection,
     fidelity,
     gauge_conjugation_check,
     holonomy,
@@ -18,6 +27,7 @@ from mixedqgt import (
     reference_lift,
     LiftedCurve,
 )
+from mixedqgt import states, transport
 from conftest import rand_density, rand_herm, rand_unitary, unitary_orbit_curve
 
 
@@ -200,3 +210,176 @@ def test_start_gauge_conjugates_holonomy_property(n, seed):
                                      convergence_check=False)
     assert report.unitary_residual < 1e-10
     assert report.mean_residual < 1e-10
+
+
+# --- stacked, chunked transport ----------------------------------------------
+
+def _bloch_loop():
+    vertices = [[0.8, 0.3], [0.8, 2.0], [1.9, 2.4], [1.6, 0.3], [0.8, 0.3]]
+    return ChartLoop(BlochQubitModel(r=0.9), vertices)
+
+
+def _transport_results(curve, steps):
+    lift = horizontal_lift(reference_lift(curve, np.linspace(0.0, 1.0, steps + 1)))
+    result = holonomy(curve, steps=steps)
+    return (lift.amplitudes, lift.transport_unitaries, result.unitary,
+            result.mean_holonomy, result.convergence_estimate)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transport_does_not_depend_on_chunk_size(monkeypatch, n):
+    curve = _bloch_loop() if n == 2 else unitary_orbit_curve(np.random.default_rng(14), n)
+    # 60 steps: the grid spacings differ in their last bits
+    default = _transport_results(curve, 60)
+    for nodes in (1, 7):
+        monkeypatch.setattr(states, "CHUNK_ENTRIES", nodes * n * n)
+        chunked = _transport_results(curve, 60)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, default))
+
+
+def test_half_grid_estimate_matches_a_fresh_half_run():
+    loop = _bloch_loop()
+    for steps in (256, 255):
+        calls = []
+
+        class CountingLoop(ChartLoop):
+            def stack(self, times):
+                calls.append(len(times))
+                return super().stack(times)
+
+        result = holonomy(CountingLoop(loop.model, loop.vertices), steps=steps)
+        half = holonomy(loop, steps=steps // 2, convergence_check=False)
+        assert result.convergence_estimate == pytest.approx(
+            abs(half.mean_holonomy - result.mean_holonomy), abs=1e-12)
+        # an even grid reuses its every-second nodes; an odd one evaluates afresh
+        assert calls == ([257] if steps == 256 else [256, 128])
+
+
+def test_curve_without_stack_matches_the_chart_loop():
+    loop = _bloch_loop()
+    stacked = holonomy(loop, steps=128)
+    plain = holonomy(lambda t: loop(t), steps=128)
+    assert np.max(np.abs(stacked.unitary - plain.unitary)) < 1e-12
+    assert abs(stacked.mean_holonomy - plain.mean_holonomy) < 1e-12
+    assert abs(stacked.convergence_estimate - plain.convergence_estimate) < 1e-12
+
+
+class _NodeCurve:
+    """Base curve through given matrices, one per node of a uniform grid;
+    ``stacked`` adds the ``stack`` method."""
+
+    def __init__(self, mats, stacked):
+        self.mats = np.asarray(mats, dtype=complex)
+        if stacked:
+            self.stack = lambda times: self.mats[self._index(times)]
+
+    def _index(self, t):
+        return np.rint(np.asarray(t) * (len(self.mats) - 1)).astype(int)
+
+    def __call__(self, t):
+        return self.mats[self._index(t)]
+
+    def times(self):
+        return np.linspace(0.0, 1.0, len(self.mats))
+
+
+def _rotated(angles, spectrum=(0.7, 0.3)):
+    sy = np.array([[0, -1j], [1j, 0]])
+    out = []
+    for a in angles:
+        u = expm(1j * a * sy)
+        out.append(u @ np.diag(spectrum) @ u.conj().T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_base_node_checks_name_the_first_failing_node(stacked):
+    mats = _rotated(np.linspace(0.0, 0.2, 8))
+    mats[2] = np.diag([1.0 + 5e-12, -5e-12])   # fails only the PSD check
+    mats[5, 0, 1] += 1e-3                        # fails the Hermiticity check
+    curve = _NodeCurve(mats, stacked)
+    with pytest.raises(NotPSDError, match=r"^not PSD: min eigenvalue -5\.000e-12 < -1\.0e-12$"):
+        reference_lift(curve, curve.times())
+
+
+def test_reference_gauge_checks_name_the_first_failing_node():
+    curve = _NodeCurve(_rotated(np.linspace(0.0, 0.2, 9)), stacked=True)
+    grid = curve.times()
+
+    def stretched(t):  # unitary within 1e-10 but not norm-preserving from node 3 on
+        k = int(curve._index(t))
+        return np.eye(2) * (1.0 + (k >= 3) * k * 1e-12)
+
+    with pytest.raises(ValidationError, match=r"^norm\^2 differs from 1 by 6\.0\d\de-12 > 1\.0e-12$"):
+        reference_lift(curve, grid, gauge=stretched)
+
+    def skewed(t):  # not unitary from node 4 on
+        k = int(curve._index(t))
+        return np.eye(2) * (1.0 + (k >= 4) * k * 1e-6)
+
+    with pytest.raises(NotUnitaryError, match=r"max\|U\^dag U - I\| = 8\.0\d\de-06 > 1\.0e-10$"):
+        reference_lift(curve, grid, gauge=skewed)
+
+
+def test_projection_check_names_the_first_failing_node():
+    rng = np.random.default_rng(15)
+    curve = unitary_orbit_curve(rng, 2)
+    times = np.linspace(0.0, 1.0, 7)
+    ref = reference_lift(curve, times)
+    wrong = ref.base.copy()
+    wrong[[3, 5]] = rand_density(rng, 2).mat
+    with pytest.raises(ValidationError, match=r"^node 3: lift does not project to base point"):
+        LiftedCurve(times, ref.amplitudes, wrong)
+
+
+def test_overlap_floor_names_the_first_coarse_step():
+    curve = _NodeCurve(_rotated([0.0, 0.01, 0.02, 1.0, 1.01, 2.0]), stacked=True)
+    with pytest.raises(CoarseGridError, match=r"^reference overlap \|<psi_2\|psi_3>\| = "):
+        horizontal_lift(reference_lift(curve, curve.times()))
+
+
+def test_environment_rank_floor_names_the_first_failing_step():
+    # full rank at the start, below the floor from node 3 on; the smallest
+    # eigenvalue grows by node, so the message tells the steps apart
+    spectra = [(0.95, 0.05)] * 3 + [(1.0 - e, e) for e in (2e-11, 3e-11, 4e-11, 5e-11)]
+    mats = np.array([np.diag(s) for s in spectra], dtype=complex)
+    curve = _NodeCurve(mats, stacked=True)
+    ref = reference_lift(curve, curve.times())
+    w0, w1 = ref.amplitudes[3], ref.amplitudes[4]
+    mid = Purification.from_matrix((w0 + w1) / np.linalg.norm(w0 + w1))
+    with pytest.raises(RankDeficientError) as expected:
+        connection(mid, w1 - w0)
+    with pytest.raises(RankDeficientError) as raised:
+        horizontal_lift(ref)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("sigma min eigenvalue 2.4")
+
+
+def test_start_alignment_must_be_unitary():
+    # a start state within the projection tolerance whose alignment with the
+    # reference is 4e-6 away from unitary: the small eigenvalue amplifies it
+    curve = _NodeCurve(_rotated(np.linspace(0.0, 0.2, 5), spectrum=(0.999, 0.001)),
+                       stacked=True)
+    ref = reference_lift(curve, curve.times())
+    w = ref.amplitudes[0] @ np.diag([1.0, 1.0 + 2e-6])
+    start = Purification.from_matrix(w / np.linalg.norm(w))
+    with pytest.raises(NotUnitaryError, match=r"max\|U\^dag U - I\| = \d\.\d{3}e-06 > 1\.0e-08$"):
+        horizontal_lift(ref, psi_start=start)
+
+
+def test_step_checks_run_node_by_node_after_a_failing_chunk():
+    # two failing stacked checks; the rerun reports the first failing entry,
+    # not the first failing check
+    mats = np.array([np.diag([0.6, 0.4])] * 5, dtype=complex)
+    mats[1] = np.diag([1.0 + 5e-12, -5e-12])
+    mats[3, 0, 1] += 1e-3
+    with pytest.raises(NotHermitianError):
+        DensityStack(mats)
+    with pytest.raises(NotPSDError, match="-5.000e-12"):
+        transport._by_node(DensityStack, mats)
+
+
+def test_nan_reference_gauge_is_refused_at_the_first_node():
+    curve = _NodeCurve(_rotated(np.linspace(0.0, 0.2, 5)), stacked=True)
+    with pytest.raises(NotUnitaryError, match=r"= nan > 1\.0e-10$"):
+        reference_lift(curve, curve.times(), gauge=lambda t: np.full((2, 2), np.nan))
