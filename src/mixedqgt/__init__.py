@@ -44,7 +44,6 @@ from .states import (
     matrix_to_json,
     partial_trace_env,
     partial_trace_sys,
-    psd_sqrt,
     purify,
     schmidt,
     sorted_eigh,

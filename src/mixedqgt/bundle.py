@@ -25,8 +25,7 @@ from .errors import (
     NotUnitaryError,
     RankDeficientError,
 )
-from .states import (RANK_TOL, DensityStack, Purification, check_norm_stack,
-                     partial_trace_sys, schmidt)
+from .states import RANK_TOL, DensityStack, Purification, check_norm_stack, schmidt
 
 DEFAULT_FD_STEP = 1e-5
 HERMITICITY_TOL = 1e-10
@@ -43,14 +42,14 @@ class EnvOperator:
     def __init__(self, entries, tol=HERMITICITY_TOL):
         mat = np.asarray(entries, dtype=complex)
         asym = np.ravel(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
-        if (asym > tol).any():
+        if not (asym <= tol).all():  # NaN fails
             raise NotHermitianError(
                 "environment operator not Hermitian: max|A - A^dag| ="
-                f" {asym[(asym > tol).argmax()]:.3e} > {tol:.1e}"
+                f" {asym[(~(asym <= tol)).argmax()]:.3e} > {tol:.1e}"
             )
         self.mat = mat
         self.dim = mat.shape[-1]
-        self.asymmetry = float(asym.max())
+        self.asymmetry = float(asym.max(initial=0.0))
 
     @classmethod
     def from_symmetrized(cls, entries):
@@ -119,28 +118,27 @@ def lyapunov_superop(sigma, o, rank_tol=None):
 def _tangent_matrix(dpsi, psi):
     if isinstance(dpsi, TangentVector):
         return dpsi.matrix
-    return np.asarray(dpsi, dtype=complex).reshape(psi.sys_dim, psi.env_dim)
+    dpsi = np.asarray(dpsi, dtype=complex)
+    return dpsi if dpsi.ndim > 2 else dpsi.reshape(psi.sys_dim, psi.env_dim)
 
 
 def connection(psi, dpsi, rank_tol=RANK_TOL):
     """Decomposition-free connection of a curve with tangent dpsi at psi.
 
     Requires the reduced environment state to be full rank (its inverse
-    anticommutator enters); raises RankDeficientError otherwise.  ``psi``
-    may also be a (K, N, N) stack of amplitude matrices, norm-checked here,
-    with ``dpsi`` a stack of the same shape; the result then holds the K
-    operators, and each check raises for the first matrix it fails.
+    anticommutator enters); raises RankDeficientError otherwise.  With a
+    Purification ``psi``, ``dpsi`` may stack n tangents that share its rho_E.
+    ``psi`` may also be a (K, N, N) stack of amplitude matrices, norm-checked
+    here, with ``dpsi`` of the same shape.  The result holds one operator
+    per tangent, and each check raises for the first matrix it fails.
     """
     if isinstance(psi, Purification):
-        w = psi.amplitude_matrix
-        d = _tangent_matrix(dpsi, psi)
-        rho_env = partial_trace_sys(psi, rank_tol=rank_tol)
+        w, d = psi.amplitude_matrix, _tangent_matrix(dpsi, psi)
     else:
-        w = check_norm_stack(np.asarray(psi, dtype=complex))
-        d = np.asarray(dpsi, dtype=complex)
-        rho_env = DensityStack((w.conj().swapaxes(-1, -2) @ w).swapaxes(-1, -2),
-                               rank_tol=rank_tol)
-    m = w.conj().swapaxes(-1, -2) @ d
+        w, d = check_norm_stack(np.asarray(psi, dtype=complex)), np.asarray(dpsi, dtype=complex)
+    w_dag = w.conj().swapaxes(-1, -2)
+    rho_env = DensityStack((w_dag @ w).swapaxes(-1, -2), rank_tol=rank_tol)
+    m = w_dag @ d
     # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
     o = (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
     return EnvOperator(-1j * lyapunov_superop(rho_env, o, rank_tol=rank_tol))
@@ -202,16 +200,19 @@ def connection_schmidt(sd, dsd, gap_tol=1e-8):
 
 
 def env_action(psi, op):
-    """Amplitudes of (I (x) op)|psi> as a flat vector."""
+    """Amplitudes of (I (x) op)|psi> as a flat vector, or one per operator
+    of a stack."""
     op = op.mat if isinstance(op, EnvOperator) else np.asarray(op, dtype=complex)
-    return (psi.amplitude_matrix @ op.T).ravel()
+    moved = psi.amplitude_matrix @ op.swapaxes(-1, -2)
+    return moved.reshape(*op.shape[:-2], psi.amplitudes.size)
 
 
 def env_expectation(psi, op):
-    """<psi|(I (x) op)|psi> = Tr(op rho_E)."""
+    """<psi|(I (x) op)|psi> = Tr(op rho_E), or their array over a stack of
+    operators."""
     op = op.mat if isinstance(op, EnvOperator) else np.asarray(op, dtype=complex)
     w = psi.amplitude_matrix
-    return complex(np.trace(w.conj().T @ w @ op.T))
+    return np.trace(w.conj().T @ w @ op.swapaxes(-1, -2), axis1=-2, axis2=-1)
 
 
 def vertical_project(psi, x, rank_tol=RANK_TOL):

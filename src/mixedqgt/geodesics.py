@@ -21,8 +21,8 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .states import DensityMatrix, Purification, psd_sqrt
-from .bundle import TangentVector, connection, covariant_derivative, real_inner
+from .states import DensityMatrix, Purification
+from .bundle import TangentVector, connection, covariant_derivative, env_action, real_inner
 
 ORTHOGONALITY_TOL = 1e-9
 HORIZONTALITY_TOL = 1e-8
@@ -93,8 +93,8 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
                     " accept a possibly non-unique geodesic)"
                 )
 
-    w0 = psd_sqrt(rho_a.mat)
-    sqrt_b = psd_sqrt(rho_b.mat)
+    # Hermitian square roots V sqrt(p) V^dag from the cached decompositions
+    w0, sqrt_b = (rho.root @ rho.eigenvectors.conj().T for rho in (rho_a, rho_b))
     u, s, vh = np.linalg.svd(sqrt_b @ w0)
     wb = sqrt_b @ (u @ vh)
     fid = float(np.clip(s.sum(), 0.0, 1.0))
@@ -109,15 +109,16 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
             f"Bures angle {theta:.6f} within margin {angle_margin:.1e} of pi/2:"
             " endpoint supports are (near-)orthogonal"
         )
-    # |W_b - F W_0| is sin(theta) only while F equals <W_0|W_b>; their
-    # last-bit difference moves the squared norm by about 1e-15 / theta^2,
-    # so divide by the computed norm
-    wq = wb - fid * w0
+    # project W_0 out with the computed <W_0|W_b> / <W_0|W_0>, not F: their
+    # last-bit difference would leave an overlap of about 1e-15 / theta with
+    # W_0; the norm is computed too, as it rounds like 1e-15 / theta^2
+    wq = wb - (np.vdot(w0, wb) / np.vdot(w0, w0).real) * w0
     wq = wq / np.linalg.norm(wq)
     sol = GeodesicSolution(Purification.from_matrix(w0), Purification.from_matrix(wq), theta)
 
     for t_end, target, name in ((0.0, rho_a, "a"), (theta, rho_b, "b")):
-        err = float(np.max(np.abs(geodesic_point(sol, t_end).mat - target.mat)))
+        w = geodesic_purification(sol, t_end).amplitude_matrix
+        err = float(np.max(np.abs(w @ w.conj().T - target.mat)))
         if err > endpoint_tol:
             raise ValidationError(
                 f"geodesic fails to reproduce endpoint {name}: max deviation {err:.3e}"
@@ -179,10 +180,11 @@ def verify_geodesic_ode(sol, times, fd_step=1e-3):
     for t in times:
         accel = max(accel, ode_residual(sol, t, fd_step))
         tangent = geodesic_tangent(sol, t)
-        point = tangent.base
-        horiz = covariant_derivative(point, tangent)
-        speed = max(speed, abs(real_inner(horiz, horiz) - 1.0))
-        conn = max(conn, float(np.max(np.abs(connection(point, tangent).mat))))
+        a = connection(tangent.base, tangent).mat
+        # |D psi> = |dpsi> - i A |psi>
+        horiz = tangent.components - 1j * env_action(tangent.base, a)
+        speed = max(speed, abs(np.vdot(horiz, horiz).real - 1.0))
+        conn = max(conn, float(np.max(np.abs(a))))
     return GeodesicODEReport(accel, speed, conn)
 
 

@@ -141,7 +141,7 @@ class ModelFamily:
         """Chart point -> list of connection operators of the family lift."""
         def field(point):
             psi, tangents = self.lift_tangents(point, h=h)
-            return [connection(psi, t) for t in tangents]
+            return list(connection(psi, np.array([t.matrix for t in tangents])).mat)
         return field
 
     # --- registration -------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .states import RANK_TOL, check_density_stack
-from .bundle import EnvOperator, covariant_derivative, env_expectation
+from .bundle import EnvOperator, _tangent_matrix, connection, env_action, env_expectation
 from .models import DEFAULT_FD_STEP, derivative_stack, derivatives
 
 STRUCTURE_TOL = 1e-9
@@ -178,13 +178,11 @@ def msqgt_covariant_route(psi, tangents, chart=None, rank_tol=RANK_TOL):
     ``tangents`` are the parameter derivatives of any smooth purification
     lift; the connection subtraction removes the lift dependence.
     """
-    horiz = [covariant_derivative(psi, x, rank_tol=rank_tol).components for x in tangents]
-    n = len(horiz)
-    q = np.empty((n, n), dtype=complex)
-    for nu in range(n):
-        for mu in range(n):
-            q[nu, mu] = np.vdot(horiz[nu], horiz[mu])
-    return QGTensor(q, chart=chart)
+    d = np.reshape([_tangent_matrix(x, psi) for x in tangents], (-1, psi.sys_dim, psi.env_dim))
+    a = connection(psi, d, rank_tol=rank_tol)
+    # |D psi> = |dpsi> - i A |psi>, one row per tangent
+    horiz = d.reshape(len(d), psi.amplitudes.size) - 1j * env_action(psi, a)
+    return QGTensor(horiz.conj() @ horiz.T, chart=chart)
 
 
 def pure_qgt(xi, dxi_list, chart=None, norm_tol=1e-10):
@@ -193,13 +191,9 @@ def pure_qgt(xi, dxi_list, chart=None, norm_tol=1e-10):
     nrm = float(np.linalg.norm(xi))
     if abs(nrm - 1.0) > norm_tol:
         raise ValidationError(f"state norm {nrm!r} deviates from 1 by more than {norm_tol:.1e}")
-    dxi = [np.asarray(d, dtype=complex).ravel() for d in dxi_list]
-    n = len(dxi)
-    q = np.empty((n, n), dtype=complex)
-    overlaps = [np.vdot(xi, d) for d in dxi]
-    for nu in range(n):
-        for mu in range(n):
-            q[nu, mu] = np.vdot(dxi[nu], dxi[mu]) - np.conj(overlaps[nu]) * overlaps[mu]
+    dxi = np.reshape([np.asarray(d, dtype=complex).ravel() for d in dxi_list], (-1, xi.size))
+    overlaps = dxi @ xi.conj()
+    q = dxi.conj() @ dxi.T - np.outer(overlaps.conj(), overlaps)
     return QGTensor(q, chart=chart)
 
 
@@ -226,17 +220,11 @@ class CurvatureTensor:
 
     def expectation(self, psi):
         """sigma_{nu mu} = (1/2) <psi|(I (x) T_{nu mu})|psi> for every pair."""
-        n = self.blocks.shape[0]
-        sigma = np.empty((n, n), dtype=complex)
-        for nu in range(n):
-            for mu in range(n):
-                sigma[nu, mu] = 0.5 * env_expectation(psi, self.blocks[nu, mu])
-        return sigma
+        return 0.5 * env_expectation(psi, self.blocks)
 
 
 def _as_matrices(ops):
-    return [op.mat if isinstance(op, EnvOperator) else np.asarray(op, dtype=complex)
-            for op in ops]
+    return np.array([op.mat if isinstance(op, EnvOperator) else op for op in ops], dtype=complex)
 
 
 def gauge_curvature(connection_field, point, step=CURVATURE_STENCIL_STEP,
@@ -253,33 +241,20 @@ def gauge_curvature(connection_field, point, step=CURVATURE_STENCIL_STEP,
     point = np.asarray(point, dtype=float)
     center = _as_matrices(connection_field(point))
     n = len(center)
-    dim = center[0].shape[0]
-
-    d_a = []
-    for nu in range(n):
-        offset = np.zeros_like(point)
-        offset[nu] = step
-        plus = _as_matrices(connection_field(point + offset))
-        minus = _as_matrices(connection_field(point - offset))
-        for side, ops in (("+", plus), ("-", minus)):
-            for mu in range(n):
-                jump = float(np.max(np.abs(ops[mu] - center[mu])))
-                if jump > jump_tol:
-                    raise InconsistentStencilError(
-                        f"connection component {mu} jumps by {jump:.3e} across the"
-                        f" {side}{step:g} stencil in direction {nu}; refusing to"
-                        " differentiate across a discontinuity"
-                    )
-        d_a.append([(plus[mu] - minus[mu]) / (2 * step) for mu in range(n)])
-
-    blocks = np.zeros((n, n, dim, dim), dtype=complex)
-    for nu in range(n):
-        for mu in range(nu + 1, n):
-            comm = center[nu] @ center[mu] - center[mu] @ center[nu]
-            t = d_a[nu][mu] - d_a[mu][nu] - 1j * comm
-            blocks[nu, mu] = t
-            blocks[mu, nu] = -t
-    return CurvatureTensor(blocks, chart=chart)
+    # stencil[nu, side, mu]: component mu at point + step e_nu (side 0) or - step e_nu
+    stencil = np.array([[_as_matrices(connection_field(point + sign * offset))
+                         for sign in (1.0, -1.0)] for offset in step * np.eye(n, point.size)])
+    jumps = np.abs(stencil - center).max(axis=(-2, -1))
+    if (jumps > jump_tol).any():
+        nu, side, mu = np.unravel_index((jumps > jump_tol).argmax(), jumps.shape)
+        raise InconsistentStencilError(
+            f"connection component {mu} jumps by {jumps[nu, side, mu]:.3e} across the"
+            f" {'+-'[side]}{step:g} stencil in direction {nu}; refusing to"
+            " differentiate across a discontinuity"
+        )
+    d_a = (stencil[:, 0] - stencil[:, 1]) / (2 * step)
+    comm = center[:, None] @ center[None] - center[None] @ center[:, None]
+    return CurvatureTensor(d_a - d_a.swapaxes(0, 1) - 1j * comm, chart=chart)
 
 
 @dataclass

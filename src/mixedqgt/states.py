@@ -4,6 +4,11 @@ Density matrices (validated Hermitian/PSD/unit-trace), their standard
 purifications, Schmidt decompositions, and the fidelity-derived Bures
 angle and distance.  Everything downstream consumes these types.
 
+There is one spectral path: ``DensityStack`` checks and decomposes a stack
+of matrices, and ``DensityMatrix`` is its one-matrix case.  The
+decomposition and the root V sqrt(p) are cached on the object, so
+purification and fidelity decompose nothing again.
+
 Conventions fixed here and relied on everywhere else:
 
 * eigenvalues sorted descending, ties broken lexicographically on the
@@ -15,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
   sum(c_k * xi_k (x) v_k) reproduces the source vector exactly.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -44,13 +50,20 @@ def chunks(count, dim):
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
+def _phase_factors(cols):
+    """Unit factors that rotate the first entry with modulus > 1e-12 of each
+    column (axis -2) real positive; 1 for a column without such an entry."""
+    mag = np.abs(cols)
+    first = (mag > PHASE_TOL).argmax(axis=-2)[..., None, :]
+    lead = np.take_along_axis(cols, first, axis=-2)
+    lead_mag = np.take_along_axis(mag, first, axis=-2)
+    return np.divide(lead_mag, lead, out=np.ones_like(lead), where=lead_mag > PHASE_TOL)
+
+
 def fix_phase(vec):
     """Rotate a vector so its first component with modulus > 1e-12 is real positive."""
     vec = np.asarray(vec, dtype=complex)
-    for entry in vec:
-        if abs(entry) > PHASE_TOL:
-            return vec * (abs(entry) / entry)
-    return vec.copy()
+    return vec * _phase_factors(vec[:, None])[0]
 
 
 def _lex_key(column):
@@ -65,50 +78,28 @@ def sorted_eigh(mat, tie_tol=1e-12):
     (re, im) entries.  Returns ``(eigenvalues, eigenvectors)`` with
     eigenvectors as columns.
     """
-    return _order_spectrum(*np.linalg.eigh(mat), tie_tol=tie_tol)
+    vals, vecs = _order_spectrum(*np.linalg.eigh(np.asarray(mat)[None]), tie_tol=tie_tol)
+    return vals[0], vecs[0]
 
 
 def _order_spectrum(vals, vecs, tie_tol=1e-12):
-    """Apply the ``sorted_eigh`` conventions to ascending ``eigh`` output."""
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    vecs = np.array([fix_phase(col) for col in vecs.T]).T.copy()
-    # stable tie-break inside (numerically) degenerate clusters
-    start = 0
-    for stop in range(1, len(vals) + 1):
-        if stop == len(vals) or abs(vals[stop] - vals[start]) > tie_tol:
-            if stop - start > 1:
-                order = sorted(range(start, stop), key=lambda k: _lex_key(vecs[:, k]))
-                vals[start:stop] = vals[order]
-                vecs[:, start:stop] = vecs[:, order]
-            start = stop
-    return vals, vecs
-
-
-def _order_spectrum_stack(vals, vecs, tie_tol=1e-12):
-    """``_order_spectrum`` over (K, N) ascending eigenvalues and (K, N, N)
-    eigenvectors: the phase fix is vectorised, and only matrices with
-    (numerically) tied eigenvalues go through the tie-break one at a time."""
-    out_vals = vals[:, ::-1].copy()
-    out_vecs = vecs[..., ::-1]
-    # unit columns always have an entry above PHASE_TOL
-    first = (np.abs(out_vecs) > PHASE_TOL).argmax(axis=-2)[:, None, :]
-    lead = np.take_along_axis(out_vecs, first, axis=-2)
-    out_vecs = out_vecs * (np.abs(lead) / lead)
-    tied = (np.abs(np.diff(out_vals, axis=-1)) <= tie_tol).any(axis=-1)
+    """Apply the ``sorted_eigh`` conventions to the ascending ``eigh`` output
+    of a stack, (K, N) eigenvalues and (K, N, N) eigenvectors: reverse, fix
+    the phases, then break ties inside (numerically) degenerate clusters."""
+    vals = vals[:, ::-1].copy()
+    vecs = vecs[..., ::-1]
+    vecs = vecs * _phase_factors(vecs)
+    tied = (np.abs(np.diff(vals, axis=-1)) <= tie_tol).any(axis=-1)
     for k in np.flatnonzero(tied):
-        out_vals[k], out_vecs[k] = _order_spectrum(vals[k].copy(), vecs[k], tie_tol)
-    return out_vals, out_vecs
-
-
-def psd_sqrt(mat):
-    """Matrix square root of a PSD matrix via spectral decomposition.
-
-    Eigenvalues below zero (numerical PSD drift) are clamped to zero.
-    """
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+        val, vec = vals[k], vecs[k]
+        start = 0
+        for stop in range(1, len(val) + 1):
+            if stop == len(val) or abs(val[stop] - val[start]) > tie_tol:
+                order = sorted(range(start, stop), key=lambda j: _lex_key(vec[:, j]))
+                val[start:stop] = val[order]
+                vec[:, start:stop] = vec[:, order]
+                start = stop
+    return vals, vecs
 
 
 def check_finite(mat):
@@ -145,52 +136,53 @@ def check_density_stack(mats, tol=CONSTRUCTION_TOL, vectors=True):
     return vals, vecs
 
 
-class DensityMatrix:
-    """Validated Hermitian, PSD, unit-trace N x N matrix.
+class DensityStack:
+    """Validated Hermitian, PSD, unit-trace N x N matrices over a (K, N, N)
+    stack, checked stage by stage (see ``check_density_stack``) and
+    decomposed once; ``DensityMatrix`` is the same object without the stack
+    axis.
 
-    Attributes:
-        mat: the complex matrix as supplied.
+    Attributes (the arrays with the leading stack axis of ``mat``):
+        mat: the complex matrices as supplied.
         dim: N.
         rank_tol: eigenvalue floor for the full-rank classification.
-        eigenvalues: descending, phase-fixed spectral data (cached).
+        eigenvalues: descending, phase-fixed spectral data.
         eigenvectors: columns matching ``eigenvalues``.
         min_eigenvalue: smallest eigenvalue.
         full_rank: True iff min_eigenvalue > rank_tol.
+        root: V sqrt(p), a square root W with W W^dag = rho, with
+            eigenvalues below zero (PSD drift within tol) taken as zero (cached).
     """
+
+    def __init__(self, mats, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
+        mats = np.asarray(mats, dtype=complex)
+        n = mats.shape[-1]
+        vals, vecs = _order_spectrum(*check_density_stack(mats.reshape(-1, n, n), tol=tol))
+        self.mat = mats
+        self.dim = n
+        self.rank_tol = rank_tol
+        self.eigenvalues = vals.reshape(mats.shape[:-1])
+        self.eigenvectors = vecs.reshape(mats.shape)
+        self.min_eigenvalue = self.eigenvalues[..., -1]
+        self.full_rank = self.min_eigenvalue > rank_tol
+
+    @functools.cached_property
+    def root(self):
+        return self.eigenvectors * np.sqrt(np.clip(self.eigenvalues, 0.0, None))[..., None, :]
+
+
+class DensityMatrix(DensityStack):
+    """One validated density matrix: the DensityStack of a single N x N
+    matrix, with no stack axis."""
 
     def __init__(self, matrix, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        vals, vecs = check_density_stack(mat[None], tol=tol)
-        vals, vecs = _order_spectrum(vals[0], vecs[0])
-        min_eig = float(vals[-1])
-        self.mat = mat
-        self.dim = mat.shape[0]
-        self.rank_tol = rank_tol
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
-        self.min_eigenvalue = min_eig
-        self.full_rank = min_eig > rank_tol
+        super().__init__(mat, tol=tol, rank_tol=rank_tol)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, full_rank={self.full_rank})"
-
-
-class DensityStack:
-    """DensityMatrix over a (K, N, N) stack: the same checks (stage by stage,
-    see ``check_density_stack``) and spectral conventions, with a leading
-    stack axis on ``mat``, ``eigenvalues``, ``eigenvectors`` and
-    ``min_eigenvalue``."""
-
-    def __init__(self, mats, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
-        mats = np.asarray(mats, dtype=complex)
-        vals, vecs = _order_spectrum_stack(*check_density_stack(mats, tol=tol))
-        self.mat = mats
-        self.rank_tol = rank_tol
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
-        self.min_eigenvalue = vals[:, -1]
 
 
 def density_violations(matrix, tol=CONSTRUCTION_TOL):
@@ -230,9 +222,7 @@ class Purification:
         n = round(np.sqrt(amp.size))
         if n * n != amp.size:
             raise ValidationError(f"amplitude length {amp.size} is not a perfect square")
-        norm_err = abs(np.vdot(amp, amp).real - 1.0)
-        if norm_err > tol:
-            raise ValidationError(f"norm^2 differs from 1 by {norm_err:.3e} > {tol:.1e}")
+        check_norm_stack(amp.reshape(1, n, n), tol=tol)
         self.amplitudes = amp
         self.sys_dim = n
         self.env_dim = n
@@ -255,7 +245,7 @@ class Purification:
 
 def check_norm_stack(amps, tol=CONSTRUCTION_TOL):
     """The Purification norm check over a (K, N, N) stack of amplitude
-    matrices; the first failing one raises (NaN fails)."""
+    matrices: the first failing one raises (NaN fails)."""
     err = np.abs(np.einsum("kij,kij->k", amps.conj(), amps).real - 1.0)
     if not (err <= tol).all():
         raise ValidationError(
@@ -270,8 +260,7 @@ def purify(rho):
     (descending, phase-fixed) eigenvector ordering, so the amplitude matrix
     is just ``eigenvectors @ diag(sqrt(p))``.
     """
-    w = rho.eigenvectors * np.sqrt(np.clip(rho.eigenvalues, 0.0, None))
-    return Purification.from_matrix(w)
+    return Purification.from_matrix(rho.root)
 
 
 def partial_trace_env(psi, rank_tol=RANK_TOL):
@@ -314,28 +303,28 @@ def schmidt(psi):
     ``reassemble()`` exactly equal to the input amplitudes.
     """
     u, s, vh = np.linalg.svd(psi.amplitude_matrix)
-    env = vh.T.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        for entry in col:
-            if abs(entry) > PHASE_TOL:
-                c = entry / abs(entry)
-                u[:, k] = col / c
-                env[:, k] = env[:, k] * c
-                break
-    return SchmidtDecomposition(s, u, env)
+    phase = _phase_factors(u)
+    return SchmidtDecomposition(s, u * phase, vh.T / phase)
+
+
+def root_fidelity(wa, wb):
+    """Fidelity ||Wa^dag Wb||_1, clipped into [0, 1], of the states
+    Wa Wa^dag and Wb Wb^dag; broadcasts over stacks of roots.
+
+    Any roots will do: with W = sqrt(rho) U for unitaries U, the singular
+    values are those of sqrt(A) sqrt(B), whose sum is
+    Tr sqrt(sqrt(A) B sqrt(A)).
+    """
+    sing = np.linalg.svd(wa.conj().swapaxes(-1, -2) @ wb, compute_uv=False)
+    return np.clip(sing.sum(axis=-1), 0.0, 1.0)
 
 
 def fidelity(a, b):
-    """Fidelity F(A, B) = Tr sqrt(sqrt(A) B sqrt(A)), clipped into [0, 1].
-
-    Computed as the trace norm of sqrt(A) sqrt(B), which is the same
-    quantity with better conditioning near rank deficiency.
-    """
+    """Fidelity F(A, B) = Tr sqrt(sqrt(A) B sqrt(A)), clipped into [0, 1],
+    from the cached roots of the two density matrices."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    sing = np.linalg.svd(psd_sqrt(a.mat) @ psd_sqrt(b.mat), compute_uv=False)
-    return float(np.clip(sing.sum(), 0.0, 1.0))
+    return float(root_fidelity(a.root, b.root))
 
 
 def bures_angle(a, b):

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, check_norm_stack,
-                     chunks, fidelity, purify)
+                     chunks, purify, root_fidelity)
 from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
@@ -121,8 +121,7 @@ def _canonical_nodes(base_curve, times):
                         dtype=complex)
     amps = np.empty_like(base)
     for s in chunks(len(base), base.shape[-1]):
-        rho = _by_node(DensityStack, base[s])
-        amps[s] = rho.eigenvectors * np.sqrt(np.clip(rho.eigenvalues, 0.0, None))[:, None, :]
+        amps[s] = _by_node(DensityStack, base[s]).root
     return base, amps
 
 
@@ -267,9 +266,11 @@ def lift_fidelity_residuals(lift):
     For a horizontal lift the purification overlap saturates the fidelity
     bound to integrator accuracy; the residuals quantify the saturation.
     """
-    bases = [DensityMatrix(m) for m in lift.base]
-    fid = np.array([fidelity(a, b) for a, b in zip(bases, bases[1:])])
-    return np.abs(fid - np.abs(_column_overlaps(lift.amplitudes).sum(axis=-1)))
+    fid = []
+    for s in chunks(len(lift) - 1, lift.base.shape[-1]):
+        roots = _by_node(DensityStack, lift.base[s.start:s.stop + 1]).root
+        fid.append(root_fidelity(roots[:-1], roots[1:]))
+    return np.abs(np.concatenate(fid) - np.abs(_column_overlaps(lift.amplitudes).sum(axis=-1)))
 
 
 @dataclass

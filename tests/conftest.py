@@ -29,6 +29,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"AC{num:02d} {verdict}  {name}: {detail}")
 
 
+def counted(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` on every call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def rand_herm(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from mixedqgt import (
@@ -221,3 +222,35 @@ def test_stacked_operator_checks_name_the_first_failing_matrix():
     with pytest.raises(RankDeficientError, match=r"^sigma min eigenvalue 0\.000e\+00 <= rank floor"):
         lyapunov_superop(DensityStack(np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])])),
                          np.zeros((2, 2, 2)))
+
+
+def test_env_operator_refuses_nan_entries():
+    msg = r"^environment operator not Hermitian: max\|A - A\^dag\| = nan > 1\.0e-10$"
+    with pytest.raises(NotHermitianError, match=msg):
+        EnvOperator(np.full((2, 2), np.nan))
+    ops = np.array([np.diag([1.0, 2.0])] * 3, dtype=complex)
+    ops[2, 1, 0] = complex(0.0, np.nan)
+    with pytest.raises(NotHermitianError, match=msg):
+        EnvOperator(ops)
+    with pytest.raises(NotHermitianError, match="= nan > inf$"):
+        EnvOperator.from_symmetrized(np.array([[1.0, np.nan], [0.0, 2.0]]))
+
+
+def test_env_operator_with_infinite_tolerance_takes_any_finite_matrix():
+    m = np.array([[1.0, 5.0], [-3.0, 2.0j]])
+    assert EnvOperator(m, tol=np.inf).asymmetry == pytest.approx(8.0)
+    op = EnvOperator.from_symmetrized(m)
+    assert np.array_equal(op.mat, op.mat.conj().T)
+    assert op.asymmetry == pytest.approx(8.0)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_connection_of_stacked_tangents_matches_one_call_per_tangent(n, count, seed):
+    rng = np.random.default_rng(seed)
+    psi = purify(rand_density(rng, n))
+    tangents = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    stacked = connection(psi, tangents).mat
+    assert stacked.shape == (count, n, n)
+    for d, a in zip(tangents, stacked):
+        assert np.max(np.abs(a - connection(psi, TangentVector(psi, d.ravel())).mat)) < 1e-13

@@ -8,9 +8,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mixedqgt import BlochQubitModel, export_grid_model, geodesic_point, solve_geodesic
+from mixedqgt import (BlochQubitModel, export_grid_model, geodesic_point, matrix_to_json,
+                      solve_geodesic)
 from mixedqgt import cli, states
 from mixedqgt.geodesics import bloch_vector, ode_residual
+from conftest import counted
 
 CLI = shutil.which("mixedqgt")
 
@@ -499,6 +501,27 @@ def test_geodesic_csv_skips_the_unreported_length_and_ellipse(tmp_path, monkeypa
     assert skipped.read_bytes() == plain.read_bytes()
     with pytest.raises(AssertionError):
         cli.main([*args[:-2], "--output", str(tmp_path / "geo.json")])
+
+
+def test_geodesic_csv_decomposes_each_state_once(tmp_path, monkeypatch):
+    # the endpoints and the S samples are decomposed at construction; every
+    # fidelity then reuses their cached roots
+    rng = np.random.default_rng(31)
+    paths = []
+    for name in "ab":
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = a @ a.conj().T + 0.1 * np.eye(4)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(matrix_to_json(m / np.trace(m).real)))
+    calls = defaultdict(int)
+    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(states.DensityMatrix, "__init__",
+                        counted(calls, "DensityMatrix", states.DensityMatrix.__init__))
+    samples = 17
+    assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
+                     "--samples", str(samples), "--format", "csv",
+                     "--output", str(tmp_path / "geo.csv")]) == 0
+    assert calls == {"eigh": samples + 2, "DensityMatrix": samples + 2}
 
 
 def test_geodesic_between_close_points_succeeds():

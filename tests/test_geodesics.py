@@ -208,3 +208,18 @@ def test_geodesic_reproduces_close_endpoints(pair):
     assert np.cos(sol.theta) == pytest.approx(fid, abs=2e-15)
     for t, rho in ((0.0, a), (sol.theta, b)):
         assert np.max(np.abs(geodesic_point(sol, t).mat - rho.mat)) < 1e-10
+
+
+def test_geodesic_between_states_a_micro_radian_apart():
+    # W_b - F W_0 kept an overlap of 1.2e-9 with W_0 here, above the 1e-9
+    # orthogonality check; projecting W_0 out with <W_0|W_b> removes it
+    rng = np.random.default_rng(337)
+    a, c = (rand_density(rng, 3).mat for _ in range(2))
+    eps = rng.uniform(1e-6, 8e-6)
+    b = DensityMatrix((a + eps * c) / (1 + eps))
+    sol = solve_geodesic(DensityMatrix(a), b)
+    assert 1e-6 < sol.theta < 1.8e-6
+    assert sol.orthogonality_residual < 1e-10
+    # arccos turns the fidelity's rounding into an angle error of ~1e-16/theta
+    for t, rho in ((0.0, a), (sol.theta, b.mat)):
+        assert np.max(np.abs(geodesic_point(sol, t).mat - rho)) < 1e-9

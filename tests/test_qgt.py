@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedqgt import (
     BlochQubitModel,
     CurvatureTensor,
     DensityMatrix,
     InconsistentStencilError,
+    Purification,
     QGTensor,
     RankDeficientError,
+    TangentVector,
     ThermalModel,
     ValidationError,
     bures_metric,
@@ -26,8 +29,9 @@ from mixedqgt import (
     rotated_field_qubit,
     thermal_limit_sweep,
 )
+from mixedqgt import env_expectation, qgt
 from mixedqgt.qgt import check_tensor_stack, msqgt_field, spectral_qgt_stack
-from conftest import rand_herm, traceless_herm, rand_density
+from conftest import counted, rand_herm, rand_unitary, traceless_herm, rand_density
 
 
 def linear_family(rng, n, scale=0.15):
@@ -260,3 +264,68 @@ def test_stacked_tensor_checks_fail_on_nan():
     q = np.array([[[0.25, 0.1j], [-0.1j, 0.3]], [[np.nan, 0.0], [0.0, 0.3]]])
     with pytest.raises(ValidationError, match="not symmetric: residual nan"):
         check_tensor_stack(q)
+
+
+def _sqrt_lift(rho, deltas):
+    """The lift W(x) = sqrt(rho(x)) of a pencil rho + x . deltas at x = 0, with
+    its exact tangents dW solving W dW + dW W = delta in W's eigenbasis."""
+    p, v = np.linalg.eigh(rho.mat)
+    s = np.sqrt(p)
+    psi = Purification.from_matrix((v * s) @ v.conj().T)
+    dws = [v @ ((v.conj().T @ d @ v) / (s[:, None] + s[None, :])) @ v.conj().T for d in deltas]
+    return psi, [TangentVector(psi, dw.ravel()) for dw in dws]
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_routes_agree_and_covariant_route_is_gauge_invariant_at_random_states(n, seed):
+    rng = np.random.default_rng(seed)
+    rho0, deltas = linear_family(rng, n)
+    q_eig = msqgt_eigenroute(rho0, deltas).entries
+    psi, tangents = _sqrt_lift(rho0, deltas)
+    q_cov = msqgt_covariant_route(psi, tangents).entries
+    scale = np.max(np.abs(q_eig))
+    assert np.max(np.abs(q_cov - q_eig)) < 1e-12 * scale
+    # a smooth environment gauge u(x) = exp(i x . H) u0 moves the lift and
+    # its tangents, dW -> dW u0^T + W (i H_mu u0)^T, and leaves Q alone
+    u0 = rand_unitary(rng, n)
+    psi_g = Purification.from_matrix(psi.amplitude_matrix @ u0.T)
+    tangents_g = [TangentVector(psi_g, (x.matrix @ u0.T + psi.amplitude_matrix
+                                        @ (1j * rand_herm(rng, n) @ u0).T).ravel())
+                  for x in tangents]
+    q_g = msqgt_covariant_route(psi_g, tangents_g).entries
+    assert np.max(np.abs(q_g - q_cov)) < 1e-12 * scale
+
+
+def test_covariant_route_decomposes_rho_e_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    rho0 = rand_density(rng, 4, floor=0.3)
+    deltas = [traceless_herm(rng, 4) for _ in range(3)]
+    psi, tangents = _sqrt_lift(rho0, deltas)
+    calls = {"connection": 0, "eigh": 0}
+    monkeypatch.setattr(qgt, "connection", counted(calls, "connection", qgt.connection))
+    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+    q = msqgt_covariant_route(psi, tangents)
+    assert calls == {"connection": 1, "eigh": 1}
+    assert q.entries.shape == (3, 3)
+
+
+def test_tensor_contractions_match_their_entrywise_loops():
+    rng = np.random.default_rng(22)
+    xi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    xi /= np.linalg.norm(xi)
+    dxi = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    loop = [[np.vdot(a, b) - np.vdot(xi, a).conj() * np.vdot(xi, b) for b in dxi] for a in dxi]
+    assert np.max(np.abs(pure_qgt(xi, list(dxi)).entries - np.array(loop))) < 1e-14
+    blocks = np.array([[rand_herm(rng, 3) for _ in range(3)] for _ in range(3)])
+    blocks = blocks - blocks.swapaxes(0, 1)
+    psi = Purification.from_matrix(rand_density(rng, 3).root)
+    loop = [[0.5 * env_expectation(psi, b) for b in row] for row in blocks]
+    sigma = CurvatureTensor(blocks).expectation(psi)
+    assert np.max(np.abs(sigma - np.array(loop))) < 1e-15
+
+
+def test_tensors_over_no_parameters_are_empty():
+    psi = Purification.from_matrix(rand_density(np.random.default_rng(23), 3).root)
+    assert msqgt_covariant_route(psi, []).entries.shape == (0, 0)
+    assert pure_qgt(np.array([1.0, 0.0]), []).entries.shape == (0, 0)

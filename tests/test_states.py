@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedqgt import (
     DensityMatrix,
@@ -22,12 +23,11 @@ from mixedqgt import (
     matrix_to_json,
     partial_trace_env,
     partial_trace_sys,
-    psd_sqrt,
     purify,
     schmidt,
     sorted_eigh,
 )
-from mixedqgt.states import check_norm_stack
+from mixedqgt.states import RANK_TOL, _phase_factors, check_norm_stack
 from conftest import rand_density, rand_herm, rand_unitary
 
 
@@ -123,18 +123,21 @@ def test_fix_phase_makes_leading_entry_real_positive():
     assert np.allclose(np.abs(w), np.abs(v))
 
 
-def test_psd_sqrt_squares_back():
+def test_cached_root_squares_back():
     rng = np.random.default_rng(1)
-    rho = rand_density(rng, 4).mat
-    s = psd_sqrt(rho)
-    assert np.allclose(s @ s, rho, atol=1e-12)
+    rho = rand_density(rng, 4)
+    w = rho.root
+    assert np.allclose(w @ w.conj().T, rho.mat, atol=1e-12)
+    # the Hermitian square root from the same decomposition
+    s = w @ rho.eigenvectors.conj().T
+    assert np.allclose(s @ s, rho.mat, atol=1e-12)
     assert np.allclose(s, s.conj().T)
+    assert rho.root is w
 
 
-def test_psd_sqrt_clamps_tiny_negative_modes():
-    rho = np.diag([1.0, -1e-14])
-    s = psd_sqrt(rho)
-    assert np.all(np.diag(s).real >= 0)
+def test_cached_root_clamps_tiny_negative_modes():
+    rho = DensityMatrix(np.diag([1.0, -1e-14]))
+    assert np.array_equal(rho.root, np.diag([1.0, 0.0]))
 
 
 def test_purify_round_trip():
@@ -272,3 +275,63 @@ def test_stacked_norm_check_names_the_first_failing_purification():
     check_norm_stack(w[:2])
     with pytest.raises(ValidationError, match=r"^norm\^2 differs from 1 by 2\.0\d\de-11 > 1\.0e-12$"):
         check_norm_stack(w)
+
+
+def test_phase_rule_leaves_null_columns_unchanged():
+    # no entry above 1e-12, so no phase to fix and no 0/0
+    assert np.array_equal(fix_phase(np.zeros(3)), np.zeros(3))
+    tiny = np.array([1e-13j, -1e-14, 0.0])
+    assert np.array_equal(fix_phase(tiny), tiny)
+    cols = np.array([[0.0, 2j], [0.0, 1.0]])
+    assert np.array_equal(_phase_factors(cols), [[1.0, -1j]])
+
+
+def _spectrum(rng, n, kind):
+    """n eigenvalues summing to 1: generic, with an exact tie, with a near
+    tie (within 1e-12) or with the last one near the 1e-10 rank floor."""
+    p = rng.uniform(0.1, 1.0, n)
+    if kind == "tied":
+        p[1] = p[0]
+    elif kind == "nearly tied":
+        p[1] = p[0] + rng.uniform(0.0, 1e-12)
+    if kind != "near floor":
+        return p / p.sum()
+    floor = rng.uniform(0.0, 3.0) * RANK_TOL
+    p[-1] = 0.0
+    p = (1.0 - floor) * p / p.sum()
+    p[-1] = floor
+    return p
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["generic", "tied", "nearly tied", "near floor"]))
+def test_density_matrix_is_the_stack_row_bit_for_bit(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for k in range(4):
+        u = rand_unitary(rng, n)
+        mats.append((u * _spectrum(rng, n, kind if k % 2 else "generic")) @ u.conj().T)
+    stack = DensityStack(np.array(mats))
+    for k, m in enumerate(mats):
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.eigenvalues, stack.eigenvalues[k])
+        assert np.array_equal(rho.eigenvectors, stack.eigenvectors[k])
+        assert np.array_equal(rho.root, stack.root[k])
+        assert rho.min_eigenvalue == stack.min_eigenvalue[k]
+        assert rho.full_rank == stack.full_rank[k]
+
+
+def _reference_sqrt(mat):
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_fidelity_matches_the_square_root_formula_and_is_symmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rand_density(rng, n), rand_density(rng, n)
+    sing = np.linalg.svd(_reference_sqrt(a.mat) @ _reference_sqrt(b.mat), compute_uv=False)
+    assert fidelity(a, b) == pytest.approx(min(sing.sum(), 1.0), abs=1e-14)
+    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
