@@ -38,17 +38,17 @@ from .states import (
     DensityMatrix,
     chunks,
     density_violations,
-    fidelity,
     load_matrix,
     matrix_from_json,
+    root_fidelity,
 )
 from .qgt import msqgt_field, qgt_to_json, thermal_limit_sweep
 from .geodesics import (
     bloch_ellipse_check,
     bloch_vector,
-    geodesic_point,
+    geodesic_points,
     geodesic_samples,
-    ode_residual,
+    ode_residuals,
     path_length,
     solve_geodesic,
 )
@@ -80,11 +80,14 @@ class _UsageError(ValueError):
 
 
 def _emit(text, output):
+    """Write ``text``, one string or a list of strings in order, to stdout or
+    to the file ``output``."""
+    parts = [text] if isinstance(text, str) else text
     if output in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _csv_text(columns, rows):
@@ -330,18 +333,19 @@ def _cmd_geodesic(args):
         if qubit:
             columns += ["bloch_x", "bloch_y", "bloch_z"]
         columns += ["fidelity_to_a", "fidelity_to_b", "ode_residual"]
-        rows = []
-        for t in ts:
-            rho_t = geodesic_point(sol, t)
-            row = [float(t)]
-            row.extend(rho_t.mat.real.ravel())
-            row.extend(rho_t.mat.imag.ravel())
-            if qubit:
-                row.extend(bloch_vector(rho_t.mat))
-            row.extend([fidelity(rho_t, rho_a), fidelity(rho_t, rho_b),
-                        ode_residual(sol, t, 1e-3)])
-            rows.append(row)
-        _emit(_csv_text(columns, rows), args.output)
+        # each chunk's rows are formatted on their own, and the texts written
+        # in order, so the rows of one chunk at a time exist as Python floats
+        texts = []
+        for s in chunks(samples, dim):
+            w, rho = geodesic_points(sol, ts[s])
+            flat = rho.reshape(len(rho), -1)
+            block = np.column_stack([
+                ts[s], flat.real, flat.imag, *([bloch_vector(rho)] if qubit else []),
+                root_fidelity(w, sol.psi0.amplitude_matrix), root_fidelity(w, rho_b.root),
+                ode_residuals(sol, ts[s], 1e-3)])
+            text = _csv_text(columns, block.tolist())
+            texts.append(text if not texts else text.partition("\n")[2])  # one header
+        _emit(texts, args.output)
     return EXIT_OK
 
 

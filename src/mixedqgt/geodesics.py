@@ -8,6 +8,11 @@ psi_0, psi_q and an opening angle theta, with
 running from rho_a at t = 0 to rho_b at t = theta = arccos F(rho_a, rho_b).
 Horizontality of the whole curve reduces to one algebraic condition on the
 pair (psi_0, psi_q), checked at construction.
+
+Samples of the curve are (K, N, N) stacks of amplitude matrices W(t), one
+per time; the one-time functions (``geodesic_purification``,
+``geodesic_point``, ``ode_residual``) are their K = 1 case.  Callers with
+many times pass them a ``states.chunks`` slice at a time.
 """
 
 from dataclasses import dataclass
@@ -21,8 +26,8 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .states import DensityMatrix, Purification
-from .bundle import TangentVector, connection, covariant_derivative, env_action, real_inner
+from .states import DensityMatrix, Purification, check_density_stack, check_norm_stack, chunks
+from .bundle import TangentVector, _tangent_matrix, connection
 
 ORTHOGONALITY_TOL = 1e-9
 HORIZONTALITY_TOL = 1e-8
@@ -71,7 +76,9 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
     PSD with Tr P = F (the fidelity), which is exactly the horizontality
     alignment.  The quarter state is the normalized component of W_b
     orthogonal to W_0, normalized by its computed norm so that close
-    endpoints pass the Purification norm check.
+    endpoints pass the Purification norm check.  The angle is taken from
+    the chord, theta = 2 arcsin(|W_b - W_0| / 2), which keeps its full
+    relative precision for close endpoints, where arccos(F) does not.
 
     With ``require_full_rank=False`` rank-deficient endpoints are accepted;
     the construction stays well defined (the SVD supplies a full polar
@@ -95,10 +102,10 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
 
     # Hermitian square roots V sqrt(p) V^dag from the cached decompositions
     w0, sqrt_b = (rho.root @ rho.eigenvectors.conj().T for rho in (rho_a, rho_b))
-    u, s, vh = np.linalg.svd(sqrt_b @ w0)
+    u, _, vh = np.linalg.svd(sqrt_b @ w0)
     wb = sqrt_b @ (u @ vh)
-    fid = float(np.clip(s.sum(), 0.0, 1.0))
-    theta = float(np.arccos(fid))
+    # |W_b - W_0|^2 = 2 - 2F = 4 sin^2(theta / 2)
+    theta = float(2.0 * np.arcsin(np.linalg.norm(wb - w0) / 2.0))
     if theta < angle_margin:
         raise AngleOutOfRangeError(
             f"Bures angle {theta:.3e} below margin {angle_margin:.1e}: endpoints"
@@ -126,25 +133,51 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
     return sol
 
 
+def _combine(sol, c, s):
+    """c_k W_0 + s_k W_q for coefficient arrays c, s: a (K, N, N) stack."""
+    return (c[:, None, None] * sol.psi0.amplitude_matrix
+            + s[:, None, None] * sol.psi_quarter.amplitude_matrix)
+
+
+def geodesic_amplitudes(sol, times):
+    """Amplitude matrices W(t) = cos(t) W_0 + sin(t) W_q of psi(t), one per
+    time, as a (K, N, N) stack."""
+    t = np.asarray(times, dtype=float)
+    return _combine(sol, np.cos(t), np.sin(t))
+
+
+def geodesic_velocities(sol, times):
+    """Analytic tangents d/dt W(t) = -sin(t) W_0 + cos(t) W_q, one per time."""
+    t = np.asarray(times, dtype=float)
+    return _combine(sol, -np.sin(t), np.cos(t))
+
+
+def geodesic_points(sol, times):
+    """Amplitudes W(t) and states rho(t) = W W^dag as two (K, N, N) stacks.
+
+    W passes the Purification norm check and rho the DensityMatrix checks
+    (finite, Hermitian, unit trace, PSD), each once over the stack; rho is
+    not decomposed.
+    """
+    w = check_norm_stack(geodesic_amplitudes(sol, times))
+    rho = w @ w.conj().swapaxes(-1, -2)
+    check_density_stack(rho, vectors=False)
+    return w, rho
+
+
 def geodesic_purification(sol, t):
     """Purification psi(t) = cos(t) psi_0 + sin(t) psi_q."""
-    w = (np.cos(t) * sol.psi0.amplitude_matrix
-         + np.sin(t) * sol.psi_quarter.amplitude_matrix)
-    return Purification.from_matrix(w)
+    return Purification.from_matrix(geodesic_amplitudes(sol, [t])[0])
 
 
 def geodesic_point(sol, t):
-    """Density matrix rho(t) along the geodesic."""
-    w = geodesic_purification(sol, t).amplitude_matrix
-    return DensityMatrix(w @ w.conj().T)
+    """Density matrix rho(t) along the geodesic, decomposed."""
+    return DensityMatrix(geodesic_points(sol, [t])[1][0])
 
 
 def geodesic_tangent(sol, t):
     """Analytic tangent d/dt psi(t) = -sin(t) psi_0 + cos(t) psi_q."""
-    psi = geodesic_purification(sol, t)
-    comp = (-np.sin(t) * sol.psi0.amplitudes
-            + np.cos(t) * sol.psi_quarter.amplitudes)
-    return TangentVector(psi, comp)
+    return TangentVector(geodesic_purification(sol, t), geodesic_velocities(sol, [t])[0])
 
 
 def geodesic_samples(sol, times):
@@ -152,12 +185,30 @@ def geodesic_samples(sol, times):
     return [(x.base, x) for x in (geodesic_tangent(sol, t) for t in times)]
 
 
+def ode_residuals(sol, times, h):
+    """Norms of psi'' + psi at the given times, with psi'' the second
+    difference of step h."""
+    t = np.asarray(times, dtype=float)
+    psi, plus, minus = (geodesic_amplitudes(sol, x) for x in (t, t + h, t - h))
+    accel = (plus - 2 * psi + minus) / h ** 2 + psi
+    return np.linalg.norm(accel.reshape(t.size, -1), axis=-1)
+
+
 def ode_residual(sol, t, h):
     """Norm of psi'' + psi at t, with psi'' the second difference of step h."""
-    psi = geodesic_purification(sol, t).amplitudes
-    plus = geodesic_purification(sol, t + h).amplitudes
-    minus = geodesic_purification(sol, t - h).amplitudes
-    return float(np.linalg.norm((plus - 2 * psi + minus) / h ** 2 + psi))
+    return float(ode_residuals(sol, [t], h)[0])
+
+
+def _horizontal(w, d):
+    """Connection operators A and horizontal parts |D psi> = |dpsi> - i A |psi>
+    (as W A^T) of stacked tangents d at the amplitude matrices w; a failing
+    check, such as the rank floor, raises for the first failing sample."""
+    a = connection(w, d).mat
+    return a, d - 1j * (w @ a.swapaxes(-1, -2))
+
+
+def _sq_norms(x):
+    return np.einsum("kij,kij->k", x.conj(), x).real
 
 
 @dataclass
@@ -176,15 +227,14 @@ def verify_geodesic_ode(sol, times, fd_step=1e-3):
 
     The last two need the interior states to clear the rank floor.
     """
+    times = np.asarray(times, dtype=float)
     accel = speed = conn = 0.0
-    for t in times:
-        accel = max(accel, ode_residual(sol, t, fd_step))
-        tangent = geodesic_tangent(sol, t)
-        a = connection(tangent.base, tangent).mat
-        # |D psi> = |dpsi> - i A |psi>
-        horiz = tangent.components - 1j * env_action(tangent.base, a)
-        speed = max(speed, abs(np.vdot(horiz, horiz).real - 1.0))
-        conn = max(conn, float(np.max(np.abs(a))))
+    for s in chunks(times.size, sol.psi0.sys_dim):
+        t = times[s]
+        a, horiz = _horizontal(geodesic_amplitudes(sol, t), geodesic_velocities(sol, t))
+        accel = max(accel, float(ode_residuals(sol, t, fd_step).max()))
+        speed = max(speed, float(np.abs(_sq_norms(horiz) - 1.0).max()))
+        conn = max(conn, float(np.abs(a).max()))
     return GeodesicODEReport(accel, speed, conn)
 
 
@@ -201,10 +251,10 @@ def path_length(samples, times):
         )
     if times.size < 2:
         raise ValidationError("need at least two nodes for trapezoid quadrature")
-    speeds = np.empty(times.size)
-    for k, (psi, dpsi) in enumerate(samples):
-        horiz = covariant_derivative(psi, dpsi)
-        speeds[k] = np.sqrt(max(real_inner(horiz, horiz), 0.0))
+    w = np.array([psi.amplitude_matrix for psi, _ in samples])
+    d = np.array([_tangent_matrix(dpsi, psi) for psi, dpsi in samples])
+    speeds = np.concatenate([np.sqrt(np.clip(_sq_norms(_horizontal(w[s], d[s])[1]), 0.0, None))
+                             for s in chunks(len(w), w.shape[-1])])
     return float(np.sum(np.diff(times) * (speeds[1:] + speeds[:-1]) / 2.0))
 
 
@@ -241,7 +291,7 @@ def bloch_ellipse_check(sol, samples=720, degenerate_tol=1e-8):
         raise NotQubitError(f"system dimension {sol.psi0.sys_dim} is not a qubit")
     m = int(samples)
     ts = np.pi * np.arange(m) / m
-    bloch = bloch_vector(np.array([geodesic_point(sol, t).mat for t in ts]))
+    bloch = np.concatenate([bloch_vector(geodesic_points(sol, ts[s])[1]) for s in chunks(m, 2)])
 
     cos2, sin2 = np.cos(2 * ts), np.sin(2 * ts)
     center = bloch.mean(axis=0)

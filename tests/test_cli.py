@@ -503,9 +503,23 @@ def test_geodesic_csv_skips_the_unreported_length_and_ellipse(tmp_path, monkeypa
         cli.main([*args[:-2], "--output", str(tmp_path / "geo.json")])
 
 
-def test_geodesic_csv_decomposes_each_state_once(tmp_path, monkeypatch):
-    # the endpoints and the S samples are decomposed at construction; every
-    # fidelity then reuses their cached roots
+def test_geodesic_csv_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys):
+    args = ["geodesic", "--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS,
+            "--samples", "21", "--format", "csv"]
+    assert cli.main(args) == 0
+    default = capsys.readouterr().out
+    assert default.count("\n") == 22 and default.count("bloch_x") == 1
+    for size in (1, 7):
+        monkeypatch.setattr(states, "CHUNK_ENTRIES", size * 2 * 2)  # samples per chunk for N = 2
+        out = tmp_path / f"chunk{size}.csv"
+        assert cli.main([*args, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == default
+
+
+def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkeypatch):
+    # only the two endpoints are decomposed; each chunk of samples is checked
+    # without eigh and gets one svd per fidelity column, next to the one svd
+    # of the geodesic's construction
     rng = np.random.default_rng(31)
     paths = []
     for name in "ab":
@@ -513,15 +527,16 @@ def test_geodesic_csv_decomposes_each_state_once(tmp_path, monkeypatch):
         m = a @ a.conj().T + 0.1 * np.eye(4)
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(matrix_to_json(m / np.trace(m).real)))
-    calls = defaultdict(int)
-    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
-    monkeypatch.setattr(states.DensityMatrix, "__init__",
-                        counted(calls, "DensityMatrix", states.DensityMatrix.__init__))
-    samples = 17
-    assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
-                     "--samples", str(samples), "--format", "csv",
-                     "--output", str(tmp_path / "geo.csv")]) == 0
-    assert calls == {"eigh": samples + 2, "DensityMatrix": samples + 2}
+    for samples in (21, 2001):
+        calls = defaultdict(int)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+            patch.setattr(np.linalg, "svd", counted(calls, "svd", np.linalg.svd))
+            assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
+                             "--samples", str(samples), "--format", "csv",
+                             "--output", str(tmp_path / "geo.csv")]) == 0
+        assert calls == {"eigh": 2, "svd": 1 + 2 * len(states.chunks(samples, 4))}
+    assert len(states.chunks(2001, 4)) == 2
 
 
 def test_geodesic_between_close_points_succeeds():

@@ -22,7 +22,11 @@ from mixedqgt import (
     solve_geodesic,
     verify_geodesic_ode,
 )
-from mixedqgt.geodesics import DEFAULT_ANGLE_MARGIN, bloch_vector, ode_residual
+from mixedqgt import states
+from mixedqgt.bundle import TangentVector, connection
+from mixedqgt.geodesics import (DEFAULT_ANGLE_MARGIN, bloch_vector, geodesic_points, ode_residual,
+                                ode_residuals)
+from mixedqgt.states import root_fidelity
 from conftest import rand_bloch_density, rand_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -162,9 +166,10 @@ def test_bloch_vector_reads_the_pauli_expectations():
 
 
 @st.composite
-def full_rank_pairs(draw):
-    """Two density matrices (a a^dag + 0.1 I)/Tr of one drawn dimension 2..4."""
-    n = draw(st.integers(2, 4))
+def full_rank_pairs(draw, max_dim=4):
+    """Two density matrices (a a^dag + 0.1 I)/Tr of one drawn dimension
+    2..max_dim."""
+    n = draw(st.integers(2, max_dim))
     parts = draw(hnp.arrays(np.float64, (2, 2, n, n), elements=st.floats(-1.0, 1.0)))
     a = parts[:, 0] + 1j * parts[:, 1]
     m = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
@@ -201,9 +206,9 @@ def close_pairs(draw):
 def test_geodesic_reproduces_close_endpoints(pair):
     a, b = pair
     fid = fidelity(a, b)
-    # arccos near 0 amplifies the fidelity's rounding by 1/sin(theta): below
-    # 1e-4 the angle itself is known to worse than 1e-12
-    assume(np.arccos(fid) >= 1e-4)
+    # keep clear of the margin below which solve_geodesic refuses the pair:
+    # there arccos(F) and the chord angle may fall on different sides of it
+    assume(np.arccos(fid) >= 10 * DEFAULT_ANGLE_MARGIN)
     sol = solve_geodesic(a, b)
     assert np.cos(sol.theta) == pytest.approx(fid, abs=2e-15)
     for t, rho in ((0.0, a), (sol.theta, b)):
@@ -220,6 +225,73 @@ def test_geodesic_between_states_a_micro_radian_apart():
     sol = solve_geodesic(DensityMatrix(a), b)
     assert 1e-6 < sol.theta < 1.8e-6
     assert sol.orthogonality_residual < 1e-10
-    # arccos turns the fidelity's rounding into an angle error of ~1e-16/theta
+    # the chord angle 2 arcsin(|W_b - W_0| / 2) keeps full relative precision;
+    # arccos(F) would err by ~1e-16/theta and miss the far endpoint by ~5e-10
     for t, rho in ((0.0, a), (sol.theta, b.mat)):
-        assert np.max(np.abs(geodesic_point(sol, t).mat - rho)) < 1e-9
+        assert np.max(np.abs(geodesic_point(sol, t).mat - rho)) < 1e-12
+
+
+@st.composite
+def geodesics_and_times(draw):
+    """A geodesic between a drawn full-rank pair of dimension 2..6 and a
+    sorted time grid over [0, theta] holding both ends."""
+    a, b = draw(full_rank_pairs(max_dim=6))
+    assume(bures_angle(a, b) >= 10 * DEFAULT_ANGLE_MARGIN)
+    sol = solve_geodesic(a, b)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    return a, b, sol, np.array([0.0, *sorted(fractions), 1.0]) * sol.theta
+
+
+@settings(max_examples=30)
+@given(geodesics_and_times())
+def test_stacked_samples_are_the_one_time_functions(case):
+    a, b, sol, times = case
+    w, rho = geodesic_points(sol, times)
+    fid_a = root_fidelity(w, sol.psi0.amplitude_matrix)
+    fid_b = root_fidelity(w, b.root)
+    for k, t in enumerate(times):
+        point = geodesic_point(sol, t)
+        assert np.array_equal(rho[k], point.mat)
+        assert np.array_equal(w[k], geodesic_purification(sol, t).amplitude_matrix)
+        assert abs(fid_a[k] - fidelity(point, a)) <= 2e-15
+        assert abs(fid_b[k] - fidelity(point, b)) <= 2e-15
+    assert ode_residuals(sol, times, 1e-3).tolist() == [ode_residual(sol, t, 1e-3) for t in times]
+
+
+@settings(max_examples=20)
+@given(geodesics_and_times(), st.integers(1, 5))
+def test_geodesic_checks_do_not_depend_on_chunk_size(case, per_chunk):
+    _, _, sol, times = case
+    n = sol.psi0.sys_dim
+
+    def results():
+        return (path_length(geodesic_samples(sol, times), times),
+                verify_geodesic_ode(sol, times),
+                bloch_ellipse_check(sol, samples=13).__dict__ if n == 2 else None)
+
+    default = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "CHUNK_ENTRIES", per_chunk * n * n)
+        chunked = results()
+    assert chunked[:2] == default[:2]
+    if n == 2:
+        assert all(np.array_equal(chunked[2][k], v) for k, v in default[2].items())
+
+
+def test_path_length_rank_floor_names_the_first_failing_sample():
+    # full rank for two samples, below the floor from sample 2 on; the smallest
+    # eigenvalue grows by sample, so the message tells the samples apart
+    spectra = [(0.95, 0.05)] * 2 + [(1.0 - e, e) for e in (2e-11, 3e-11, 4e-11)]
+    psis = [purify(DensityMatrix(np.diag(p))) for p in spectra]
+    tangent = np.array([[0.1, 0.2j], [0.3, -0.1]])
+    samples = [(psi, TangentVector(psi, tangent)) for psi in psis]
+    times = np.arange(len(samples), dtype=float)
+    with pytest.raises(RankDeficientError) as expected:
+        connection(psis[2], tangent)
+    for per_chunk in (1, 3, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states, "CHUNK_ENTRIES", per_chunk * 4)
+            with pytest.raises(RankDeficientError) as raised:
+                path_length(samples, times)
+        assert str(raised.value) == str(expected.value)
+    assert str(expected.value).startswith("sigma min eigenvalue 2.0")
