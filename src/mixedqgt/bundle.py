@@ -94,20 +94,18 @@ def real_inner(x, y):
     return float(np.vdot(x.components, y.components).real)
 
 
-def lyapunov_superop(sigma, o, rank_tol=None):
+def lyapunov_superop(sigma, o):
     """Solve sigma X + X sigma = O by eigenbasis division.
 
     In sigma's eigenbasis the solution is <i|O|k> / (q_i + q_k); this is
     the paper-defined superoperator, basis independent for full-rank sigma.
     A DensityStack sigma with a (K, N, N) stack O solves K equations; the
-    first sigma at or below the rank floor raises.
+    first sigma at or below the rank floor RANK_TOL raises.
     """
-    tol = sigma.rank_tol if rank_tol is None else rank_tol
     low = np.ravel(sigma.min_eigenvalue)
-    if (low <= tol).any():
-        raise RankDeficientError(
-            f"sigma min eigenvalue {low[(low <= tol).argmax()]:.3e} <= rank floor {tol:.1e}"
-        )
+    if (low <= RANK_TOL).any():
+        raise RankDeficientError(f"sigma min eigenvalue {low[(low <= RANK_TOL).argmax()]:.3e}"
+                                 f" <= rank floor {RANK_TOL:.1e}")
     q = sigma.eigenvalues
     basis = sigma.eigenvectors
     dag = basis.conj().swapaxes(-1, -2)
@@ -122,7 +120,7 @@ def _tangent_matrix(dpsi, psi):
     return dpsi if dpsi.ndim > 2 else dpsi.reshape(psi.sys_dim, psi.env_dim)
 
 
-def connection(psi, dpsi, rank_tol=RANK_TOL):
+def connection(psi, dpsi):
     """Decomposition-free connection of a curve with tangent dpsi at psi.
 
     Requires the reduced environment state to be full rank (its inverse
@@ -137,11 +135,11 @@ def connection(psi, dpsi, rank_tol=RANK_TOL):
     else:
         w, d = check_norm_stack(np.asarray(psi, dtype=complex)), np.asarray(dpsi, dtype=complex)
     w_dag = w.conj().swapaxes(-1, -2)
-    rho_env = DensityStack((w_dag @ w).swapaxes(-1, -2), rank_tol=rank_tol)
+    rho_env = DensityStack((w_dag @ w).swapaxes(-1, -2))
     m = w_dag @ d
     # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
     o = (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
-    return EnvOperator(-1j * lyapunov_superop(rho_env, o, rank_tol=rank_tol))
+    return EnvOperator(-1j * lyapunov_superop(rho_env, o))
 
 
 @dataclass
@@ -171,7 +169,7 @@ def schmidt_curve_derivative(curve, t, h=DEFAULT_FD_STEP):
     return mid, dsd
 
 
-def connection_schmidt(sd, dsd, gap_tol=1e-8):
+def connection_schmidt(sd, dsd):
     """Schmidt-basis connection form.
 
     A_t = -i( sum_i |dv_i><v_i|
@@ -185,9 +183,9 @@ def connection_schmidt(sd, dsd, gap_tol=1e-8):
     p = sd.coefficients.astype(float) ** 2
     if len(p) > 1:
         gap = float(np.min(np.abs(np.diff(p))))
-        if gap < gap_tol:
+        if gap < 1e-8:
             raise DegenerateSpectrumError(
-                f"spectrum gap {gap:.3e} < {gap_tol:.1e}: Schmidt-basis derivatives"
+                f"spectrum gap {gap:.3e} < 1.0e-08: Schmidt-basis derivatives"
                 " are not fixed by the phase convention"
             )
     term1 = dsd.d_env_basis @ sd.env_basis.conj().T
@@ -215,22 +213,22 @@ def env_expectation(psi, op):
     return np.trace(w.conj().T @ w @ op.swapaxes(-1, -2), axis1=-2, axis2=-1)
 
 
-def vertical_project(psi, x, rank_tol=RANK_TOL):
+def vertical_project(psi, x):
     """Vertical component i A |psi> of a tangent vector."""
-    a = connection(psi, x, rank_tol=rank_tol)
+    a = connection(psi, x)
     return TangentVector(psi, 1j * env_action(psi, a))
 
 
-def horizontal_project(psi, x, rank_tol=RANK_TOL):
+def horizontal_project(psi, x):
     """Horizontal component x - (x)_V of a tangent vector."""
-    vert = vertical_project(psi, x, rank_tol=rank_tol)
+    vert = vertical_project(psi, x)
     comp = _tangent_matrix(x, psi).ravel() - vert.components
     return TangentVector(psi, comp)
 
 
-def covariant_derivative(psi, dpsi, rank_tol=RANK_TOL):
+def covariant_derivative(psi, dpsi):
     """|D psi> = |dpsi> - i A |psi>, the horizontal component of dpsi."""
-    return horizontal_project(psi, dpsi, rank_tol=rank_tol)
+    return horizontal_project(psi, dpsi)
 
 
 def finite_difference_tangent(curve, t, h=DEFAULT_FD_STEP):

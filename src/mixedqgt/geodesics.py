@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .states import DensityMatrix, Purification, check_density_stack, check_norm_stack, chunks
+from .states import RANK_TOL, DensityMatrix, Purification, check_norm_stack, chunks
 from .bundle import TangentVector, _tangent_matrix, connection
 
 ORTHOGONALITY_TOL = 1e-9
@@ -38,24 +38,23 @@ DEFAULT_ANGLE_MARGIN = 1e-6
 class GeodesicSolution:
     """Quarter-state representation of a horizontal geodesic."""
 
-    def __init__(self, psi0, psi_quarter, theta,
-                 orth_tol=ORTHOGONALITY_TOL, horiz_tol=HORIZONTALITY_TOL):
+    def __init__(self, psi0, psi_quarter, theta):
         if psi0.sys_dim != psi_quarter.sys_dim:
             raise DimensionMismatchError(
                 f"endpoint dimensions differ: {psi0.sys_dim} vs {psi_quarter.sys_dim}"
             )
         overlap = abs(psi0.overlap(psi_quarter))
-        if overlap > orth_tol:
+        if overlap > ORTHOGONALITY_TOL:
             raise ValidationError(
-                f"|<psi0|psi_quarter>| = {overlap:.3e} > {orth_tol:.1e}"
+                f"|<psi0|psi_quarter>| = {overlap:.3e} > {ORTHOGONALITY_TOL:.1e}"
             )
         # Horizontality of every point of the curve is equivalent to
         # Tr_S(|psi_q><psi_0| - |psi_0><psi_q|) = 0, i.e. W0^dag Wq Hermitian.
         cross = psi0.amplitude_matrix.conj().T @ psi_quarter.amplitude_matrix
         horiz = float(np.max(np.abs(cross - cross.conj().T)))
-        if horiz > horiz_tol:
+        if horiz > HORIZONTALITY_TOL:
             raise ValidationError(
-                f"curve not horizontal: max|P - P^dag| = {horiz:.3e} > {horiz_tol:.1e}"
+                f"curve not horizontal: max|P - P^dag| = {horiz:.3e} > {HORIZONTALITY_TOL:.1e}"
             )
         self.psi0 = psi0
         self.psi_quarter = psi_quarter
@@ -67,8 +66,7 @@ class GeodesicSolution:
         return f"GeodesicSolution(theta={self.theta:.6f})"
 
 
-def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
-                   require_full_rank=True, endpoint_tol=ENDPOINT_TOL):
+def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN, require_full_rank=True):
     """Horizontal geodesic from rho_a to rho_b.
 
     Construction: W_0 = sqrt(rho_a); M = sqrt(rho_b) sqrt(rho_a) with polar
@@ -96,7 +94,7 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
             if not rho.full_rank:
                 raise RankDeficientError(
                     f"endpoint {name} min eigenvalue {rho.min_eigenvalue:.3e} <= rank"
-                    f" floor {rho.rank_tol:.1e} (pass require_full_rank=False to"
+                    f" floor {RANK_TOL:.1e} (pass require_full_rank=False to"
                     " accept a possibly non-unique geodesic)"
                 )
 
@@ -126,7 +124,7 @@ def solve_geodesic(rho_a, rho_b, angle_margin=DEFAULT_ANGLE_MARGIN,
     for t_end, target, name in ((0.0, rho_a, "a"), (theta, rho_b, "b")):
         w = geodesic_purification(sol, t_end).amplitude_matrix
         err = float(np.max(np.abs(w @ w.conj().T - target.mat)))
-        if err > endpoint_tol:
+        if err > ENDPOINT_TOL:
             raise ValidationError(
                 f"geodesic fails to reproduce endpoint {name}: max deviation {err:.3e}"
             )
@@ -155,14 +153,12 @@ def geodesic_velocities(sol, times):
 def geodesic_points(sol, times):
     """Amplitudes W(t) and states rho(t) = W W^dag as two (K, N, N) stacks.
 
-    W passes the Purification norm check and rho the DensityMatrix checks
-    (finite, Hermitian, unit trace, PSD), each once over the stack; rho is
-    not decomposed.
+    W passes the Purification norm check once over the stack.  rho is then
+    Hermitian, PSD and of unit trace by construction, so it is neither
+    checked again nor decomposed.
     """
     w = check_norm_stack(geodesic_amplitudes(sol, times))
-    rho = w @ w.conj().swapaxes(-1, -2)
-    check_density_stack(rho, vectors=False)
-    return w, rho
+    return w, w @ w.conj().swapaxes(-1, -2)
 
 
 def geodesic_purification(sol, t):
@@ -181,8 +177,15 @@ def geodesic_tangent(sol, t):
 
 
 def geodesic_samples(sol, times):
-    """(psi(t), dpsi(t)) pairs at the given parameter values."""
-    return [(x.base, x) for x in (geodesic_tangent(sol, t) for t in times)]
+    """(psi(t), dpsi(t)) pairs at the given parameter values, built from the
+    stacked amplitudes and tangents of one ``states.chunks`` slice at a time."""
+    times = np.asarray(times, dtype=float)
+    out = []
+    for s in chunks(times.size, sol.psi0.sys_dim):
+        for w, d in zip(geodesic_amplitudes(sol, times[s]), geodesic_velocities(sol, times[s])):
+            psi = Purification.from_matrix(w)
+            out.append((psi, TangentVector(psi, d)))
+    return out
 
 
 def ode_residuals(sol, times, h):
@@ -277,7 +280,7 @@ def bloch_vector(rho):
                      (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
-def bloch_ellipse_check(sol, samples=720, degenerate_tol=1e-8):
+def bloch_ellipse_check(sol, samples=720):
     """Fit the Bloch-space trace of a qubit geodesic to a conic.
 
     The quarter-state form makes every Bloch component an exact
@@ -307,13 +310,13 @@ def bloch_ellipse_check(sol, samples=720, degenerate_tol=1e-8):
     y = rel @ basis[:, 1]
     out_of_plane = float(np.max(np.linalg.norm(
         rel - np.outer(x, basis[:, 0]) - np.outer(y, basis[:, 1]), axis=1)))
-    if semi_minor > degenerate_tol:
+    if semi_minor > 1e-8:
         dev = np.abs((x / semi_major) ** 2 + (y / semi_minor) ** 2 - 1.0)
     else:
         # Degenerate (diameter) trace: the curve sweeps a segment, so
         # measure the transverse offset and any overshoot past the ends.
         dev = np.maximum(np.abs(y), np.clip(np.abs(x) - semi_major, 0.0, None))
-        dev = dev / max(semi_major, degenerate_tol)
+        dev = dev / max(semi_major, 1e-8)
     return BlochEllipseReport(
         center=center,
         axes=basis,

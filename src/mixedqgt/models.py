@@ -44,7 +44,7 @@ class ModelFamily:
 
     analytic = False
 
-    def __init__(self, name, param_labels, domain, check=True, fd_step=DEFAULT_FD_STEP):
+    def __init__(self, name, param_labels, domain, check=True):
         self.name = str(name)
         self.param_labels = [str(s) for s in param_labels]
         domain = [(float(lo), float(hi)) for lo, hi in domain]
@@ -57,7 +57,7 @@ class ModelFamily:
                 raise ValidationError(f"domain for {lbl} is empty: [{lo}, {hi}]")
         self.domain = domain
         if check:
-            self._registration_check(fd_step)
+            self._registration_check()
 
     @property
     def n_params(self):
@@ -137,25 +137,25 @@ class ModelFamily:
             tangents.append(TangentVector(psi, comp))
         return psi, tangents
 
-    def connection_field(self, h=DEFAULT_FD_STEP):
+    def connection_field(self):
         """Chart point -> list of connection operators of the family lift."""
         def field(point):
-            psi, tangents = self.lift_tangents(point, h=h)
+            psi, tangents = self.lift_tangents(point)
             return list(connection(psi, np.array([t.matrix for t in tangents])).mat)
         return field
 
     # --- registration -------------------------------------------------------
-    def _registration_check(self, fd_step, derivative_tol_factor=10.0):
+    def _registration_check(self):
         axes = [np.linspace(lo, hi, 5) for lo, hi in self.domain]
         for idx in np.ndindex(*(5,) * self.n_params):
             self.evaluate([axes[d][i] for d, i in enumerate(idx)])
         if not self.analytic:
             return
-        tol = derivative_tol_factor * fd_step ** 2
+        tol = 10.0 * DEFAULT_FD_STEP ** 2
         for frac in (0.3, 0.5, 0.7):
             point = np.array([lo + frac * (hi - lo) for lo, hi in self.domain])
             exact = self.analytic_derivatives(point)
-            approx = derivatives(self, point, scheme="central", h=fd_step)
+            approx = derivatives(self, point, scheme="central")
             worst = max(float(np.max(np.abs(e - a))) for e, a in zip(exact, approx))
             if worst > tol:
                 raise ValidationError(
@@ -322,10 +322,10 @@ class BlochQubitModel(ModelFamily):
         return psi, tangents
 
 
-def _check_hermitian(mat, what, tol=1e-10):
+def _check_hermitian(mat, what):
     mat = np.asarray(mat, dtype=complex)
     asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if asym > tol:
+    if asym > 1e-10:
         raise NotHermitianError(f"{what} not Hermitian: max|H - H^dag| = {asym:.3e}")
     return mat
 
@@ -387,12 +387,12 @@ class ThermalModel(ModelFamily):
             out.append((dx - rho * np.trace(dx).real) / z)
         return out
 
-    def ground_state(self, point, gap_tol=1e-12):
+    def ground_state(self, point):
         """Phase-fixed ground eigenvector of H(point)."""
         shifted, vecs = self._spectrum(self.check_point(point))
-        if len(shifted) > 1 and shifted[1] < gap_tol:
+        if len(shifted) > 1 and shifted[1] < 1e-12:
             raise DegenerateSpectrumError(
-                f"ground gap {shifted[1]:.3e} < {gap_tol:.1e}: ground state undefined"
+                f"ground gap {shifted[1]:.3e} < 1.0e-12: ground state undefined"
             )
         return fix_phase(vecs[:, 0])
 
@@ -411,7 +411,7 @@ def _rotated_field_dh(point, gap):
     return list(_bloch_derivatives(point, gap))
 
 
-def rotated_field_qubit(beta, gap=0.5, check=True):
+def rotated_field_qubit(beta, gap=0.5):
     """Thermal qubit with Hamiltonian gap * (I + n(theta, phi) . sigma)/2.
 
     The spectrum is {0, gap} everywhere, so only the eigenframe turns with
@@ -425,7 +425,7 @@ def rotated_field_qubit(beta, gap=0.5, check=True):
         partial(_rotated_field_h, gap=gap), beta, ("theta", "phi"),
         ((0.0, np.pi), (0.0, 2 * np.pi)),
         d_hamiltonian=partial(_rotated_field_dh, gap=gap),
-        name="thermal-qubit", check=check,
+        name="thermal-qubit",
     )
 
 

@@ -42,13 +42,10 @@ class QGTensor:
 
     Structural properties (Re symmetric, Im antisymmetric, Re positive
     semidefinite) are measured at construction and stored as residuals;
-    violations beyond tolerance raise.  When ``mirrored`` is set the
-    lower triangle was filled by conjugation and the symmetry residuals
-    are trivially zero -- use an unmirrored tensor to test symmetry.
+    violations beyond STRUCTURE_TOL and METRIC_PSD_TOL raise.
     """
 
-    def __init__(self, entries, chart=None, tol=STRUCTURE_TOL, psd_tol=METRIC_PSD_TOL,
-                 mirrored=False):
+    def __init__(self, entries, chart=None):
         entries = np.asarray(entries, dtype=complex)
         n = entries.shape[0]
         if entries.shape != (n, n):
@@ -59,8 +56,7 @@ class QGTensor:
             raise ValidationError(
                 f"chart has {len(self.chart)} labels for a {n}x{n} tensor"
             )
-        self.mirrored = bool(mirrored)
-        sym, antisym, min_eig = check_tensor_stack(entries[None], tol=tol, psd_tol=psd_tol)
+        sym, antisym, min_eig = check_tensor_stack(entries[None])
         self.sym_residual = float(sym[0])
         self.antisym_residual = float(antisym[0])
         self.min_metric_eigenvalue = float(min_eig[0])
@@ -91,7 +87,7 @@ def qgt_to_json(q):
     }
 
 
-def check_tensor_stack(q, tol=STRUCTURE_TOL, psd_tol=METRIC_PSD_TOL):
+def check_tensor_stack(q):
     """QGTensor checks over a (K, n, n) stack: ``(sym, antisym, min_metric_eigenvalue)``
     residual arrays; the first tensor out of tolerance raises (NaN fails)."""
     if q.shape[-1] == 0:
@@ -103,26 +99,27 @@ def check_tensor_stack(q, tol=STRUCTURE_TOL, psd_tol=METRIC_PSD_TOL):
     antisym = np.abs(im + im.swapaxes(-1, -2)).max(axis=(-2, -1))
     for part, resid in (("real part not symmetric", sym),
                         ("imaginary part not antisymmetric", antisym)):
-        if not resid.max() <= tol:
-            raise ValidationError(
-                f"{part}: residual {resid[(~(resid <= tol)).argmax()]:.3e} > {tol:.1e}")
+        if not resid.max() <= STRUCTURE_TOL:
+            k = (~(resid <= STRUCTURE_TOL)).argmax()
+            raise ValidationError(f"{part}: residual {resid[k]:.3e} > {STRUCTURE_TOL:.1e}")
     min_eig = np.linalg.eigvalsh(0.5 * (re + re_t)).min(axis=-1)
-    if not min_eig.min() >= -psd_tol:
-        k = (~(min_eig >= -psd_tol)).argmax()
+    if not min_eig.min() >= -METRIC_PSD_TOL:
+        k = (~(min_eig >= -METRIC_PSD_TOL)).argmax()
         raise ValidationError(f"metric has negative eigenvalue {min_eig[k]:.3e}")
     return sym, antisym, min_eig
 
 
-def spectral_qgt_stack(p, basis, drho, herm_tol=STRUCTURE_TOL):
+def spectral_qgt_stack(p, basis, drho):
     """Eigenroute tensors Q (K, n, n) from eigenvalues p (K, N), eigenvector
-    columns (K, N, N) and Hermitian derivatives drho (K, n, N, N) of K states,
-    as one contraction; the tensor structure is left unchecked."""
+    columns (K, N, N) and derivatives drho (K, n, N, N), Hermitian within
+    STRUCTURE_TOL, of K states, as one contraction; the tensor structure is
+    left unchecked."""
     asym = np.abs(drho - drho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if not asym.max() <= herm_tol:
-        k = (~(asym.ravel() <= herm_tol)).argmax()
+    if not asym.max() <= STRUCTURE_TOL:
+        k = (~(asym.ravel() <= STRUCTURE_TOL)).argmax()
         raise NonHermitianDerivativeError(
             f"derivative {k % asym.shape[1]} not Hermitian: max|d - d^dag| ="
-            f" {asym.flat[k]:.3e} > {herm_tol:.1e}"
+            f" {asym.flat[k]:.3e} > {STRUCTURE_TOL:.1e}"
         )
     weights = p[:, :, None] / (p[:, :, None] + p[:, None, :]) ** 2
     m = basis.conj().swapaxes(-1, -2)[:, None] @ drho @ basis[:, None]
@@ -130,7 +127,7 @@ def spectral_qgt_stack(p, basis, drho, herm_tol=STRUCTURE_TOL):
     return terms.sum(axis=(-2, -1))
 
 
-def msqgt_eigenroute(rho, drho_list, chart=None, mirror=False, herm_tol=STRUCTURE_TOL):
+def msqgt_eigenroute(rho, drho_list, chart=None):
     """Spectral-route tensor from a density matrix and its derivatives.
 
     Q_{nu mu} = sum_{ik} p_i / (p_i + p_k)^2 * M_nu[i,k] M_mu[k,i]
@@ -141,7 +138,7 @@ def msqgt_eigenroute(rho, drho_list, chart=None, mirror=False, herm_tol=STRUCTUR
     if not rho.full_rank:
         raise RankDeficientError(
             f"state min eigenvalue {rho.min_eigenvalue:.3e} <= rank floor"
-            f" {rho.rank_tol:.1e}"
+            f" {RANK_TOL:.1e}"
         )
     mats = [np.asarray(d, dtype=complex) for d in drho_list]
     for mu, d in enumerate(mats):
@@ -149,11 +146,8 @@ def msqgt_eigenroute(rho, drho_list, chart=None, mirror=False, herm_tol=STRUCTUR
             raise ValidationError(
                 f"derivative {mu} has shape {d.shape}, expected {(rho.dim, rho.dim)}"
             )
-    q = spectral_qgt_stack(rho.eigenvalues[None], rho.eigenvectors[None],
-                           np.array(mats)[None], herm_tol)[0]
-    if mirror:
-        q = np.triu(q) + np.triu(q, 1).conj().T
-    return QGTensor(q, chart=chart, mirrored=mirror)
+    q = spectral_qgt_stack(rho.eigenvalues[None], rho.eigenvectors[None], np.array(mats)[None])
+    return QGTensor(q[0], chart=chart)
 
 
 def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
@@ -172,25 +166,25 @@ def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
     return q, sym, antisym
 
 
-def msqgt_covariant_route(psi, tangents, chart=None, rank_tol=RANK_TOL):
+def msqgt_covariant_route(psi, tangents, chart=None):
     """Covariant-derivative route: Q_{nu mu} = <D_nu psi|D_mu psi>.
 
     ``tangents`` are the parameter derivatives of any smooth purification
     lift; the connection subtraction removes the lift dependence.
     """
     d = np.reshape([_tangent_matrix(x, psi) for x in tangents], (-1, psi.sys_dim, psi.env_dim))
-    a = connection(psi, d, rank_tol=rank_tol)
+    a = connection(psi, d)
     # |D psi> = |dpsi> - i A |psi>, one row per tangent
     horiz = d.reshape(len(d), psi.amplitudes.size) - 1j * env_action(psi, a)
     return QGTensor(horiz.conj() @ horiz.T, chart=chart)
 
 
-def pure_qgt(xi, dxi_list, chart=None, norm_tol=1e-10):
+def pure_qgt(xi, dxi_list, chart=None):
     """Pure-state tensor <d_nu xi|d_mu xi> - <d_nu xi|xi><xi|d_mu xi>."""
     xi = np.asarray(xi, dtype=complex).ravel()
     nrm = float(np.linalg.norm(xi))
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValidationError(f"state norm {nrm!r} deviates from 1 by more than {norm_tol:.1e}")
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValidationError(f"state norm {nrm!r} deviates from 1 by more than 1.0e-10")
     dxi = np.reshape([np.asarray(d, dtype=complex).ravel() for d in dxi_list], (-1, xi.size))
     overlaps = dxi @ xi.conj()
     q = dxi.conj() @ dxi.T - np.outer(overlaps.conj(), overlaps)
@@ -198,9 +192,10 @@ def pure_qgt(xi, dxi_list, chart=None, norm_tol=1e-10):
 
 
 class CurvatureTensor:
-    """Antisymmetric field-strength blocks T_{nu mu} (Hermitian operators)."""
+    """Antisymmetric field-strength blocks T_{nu mu} (Hermitian operators),
+    each property within 1e-8."""
 
-    def __init__(self, blocks, chart=None, antisym_tol=1e-8, herm_tol=1e-8):
+    def __init__(self, blocks, chart=None):
         blocks = np.asarray(blocks, dtype=complex)
         n = blocks.shape[0]
         self.blocks = blocks
@@ -209,11 +204,11 @@ class CurvatureTensor:
         self.antisym_residual = float(np.max(np.abs(blocks + swapped))) if n else 0.0
         dag = np.conj(np.transpose(blocks, (0, 1, 3, 2)))
         self.herm_residual = float(np.max(np.abs(blocks - dag))) if n else 0.0
-        if self.antisym_residual > antisym_tol:
+        if self.antisym_residual > 1e-8:
             raise ValidationError(
                 f"curvature not antisymmetric: residual {self.antisym_residual:.3e}"
             )
-        if self.herm_residual > herm_tol:
+        if self.herm_residual > 1e-8:
             raise ValidationError(
                 f"curvature blocks not Hermitian: residual {self.herm_residual:.3e}"
             )
@@ -227,32 +222,32 @@ def _as_matrices(ops):
     return np.array([op.mat if isinstance(op, EnvOperator) else op for op in ops], dtype=complex)
 
 
-def gauge_curvature(connection_field, point, step=CURVATURE_STENCIL_STEP,
-                    jump_tol=CURVATURE_JUMP_TOL, chart=None):
+def gauge_curvature(connection_field, point, chart=None):
     """Field strength T_{nu mu} = d_nu A_mu - d_mu A_nu - i[A_nu, A_mu].
 
     ``connection_field`` maps a chart point to the list of connection
     operators (one per direction).  Partial derivatives are taken by a
-    central stencil of width ``step``; a stencil value jumping by more
-    than ``jump_tol`` from the centre indicates a gauge/phase branch
-    discontinuity and raises InconsistentStencilError rather than
+    central stencil of width CURVATURE_STENCIL_STEP; a stencil value jumping
+    by more than CURVATURE_JUMP_TOL from the centre indicates a gauge/phase
+    branch discontinuity and raises InconsistentStencilError rather than
     differentiating garbage.
     """
     point = np.asarray(point, dtype=float)
     center = _as_matrices(connection_field(point))
     n = len(center)
-    # stencil[nu, side, mu]: component mu at point + step e_nu (side 0) or - step e_nu
+    offsets = CURVATURE_STENCIL_STEP * np.eye(n, point.size)
+    # stencil[nu, side, mu]: component mu at point + offsets[nu] (side 0) or - offsets[nu]
     stencil = np.array([[_as_matrices(connection_field(point + sign * offset))
-                         for sign in (1.0, -1.0)] for offset in step * np.eye(n, point.size)])
+                         for sign in (1.0, -1.0)] for offset in offsets])
     jumps = np.abs(stencil - center).max(axis=(-2, -1))
-    if (jumps > jump_tol).any():
-        nu, side, mu = np.unravel_index((jumps > jump_tol).argmax(), jumps.shape)
+    if (jumps > CURVATURE_JUMP_TOL).any():
+        nu, side, mu = np.unravel_index((jumps > CURVATURE_JUMP_TOL).argmax(), jumps.shape)
         raise InconsistentStencilError(
             f"connection component {mu} jumps by {jumps[nu, side, mu]:.3e} across the"
-            f" {'+-'[side]}{step:g} stencil in direction {nu}; refusing to"
+            f" {'+-'[side]}{CURVATURE_STENCIL_STEP:g} stencil in direction {nu}; refusing to"
             " differentiate across a discontinuity"
         )
-    d_a = (stencil[:, 0] - stencil[:, 1]) / (2 * step)
+    d_a = (stencil[:, 0] - stencil[:, 1]) / (2 * CURVATURE_STENCIL_STEP)
     comm = center[:, None] @ center[None] - center[None] @ center[:, None]
     return CurvatureTensor(d_a - d_a.swapaxes(0, 1) - 1j * comm, chart=chart)
 
@@ -281,7 +276,7 @@ class ThermalSweepResult:
         return [e.deviation for e in self.entries]
 
 
-def thermal_limit_sweep(model, point, betas, h=1e-5):
+def thermal_limit_sweep(model, point, betas):
     """Sweep the tensor of a thermal family toward the zero-temperature limit.
 
     For each beta the spectral-route tensor is compared (max-abs entry
@@ -290,6 +285,7 @@ def thermal_limit_sweep(model, point, betas, h=1e-5):
     state falls below the rank floor.
     """
     point = np.asarray(point, dtype=float)
+    h = DEFAULT_FD_STEP
     xi = model.ground_state(point)
     n = len(point)
     dxi = []

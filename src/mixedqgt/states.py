@@ -35,7 +35,6 @@ from .errors import (
 )
 
 CONSTRUCTION_TOL = 1e-12
-ROUND_TRIP_TOL = 1e-10
 RANK_TOL = 1e-10
 PHASE_TOL = 1e-12
 # stacked paths (field sweeps, transport) work in chunks of about this many
@@ -70,31 +69,31 @@ def _lex_key(column):
     return tuple(x for z in column for x in (z.real, z.imag))
 
 
-def sorted_eigh(mat, tie_tol=1e-12):
+def sorted_eigh(mat):
     """Hermitian eigendecomposition with deterministic ordering.
 
-    Eigenvalues descending; within groups closer than ``tie_tol`` the
+    Eigenvalues descending; within groups closer than 1e-12 the
     phase-fixed eigenvectors are ordered lexicographically by their
     (re, im) entries.  Returns ``(eigenvalues, eigenvectors)`` with
     eigenvectors as columns.
     """
-    vals, vecs = _order_spectrum(*np.linalg.eigh(np.asarray(mat)[None]), tie_tol=tie_tol)
+    vals, vecs = _order_spectrum(*np.linalg.eigh(np.asarray(mat)[None]))
     return vals[0], vecs[0]
 
 
-def _order_spectrum(vals, vecs, tie_tol=1e-12):
+def _order_spectrum(vals, vecs):
     """Apply the ``sorted_eigh`` conventions to the ascending ``eigh`` output
     of a stack, (K, N) eigenvalues and (K, N, N) eigenvectors: reverse, fix
     the phases, then break ties inside (numerically) degenerate clusters."""
     vals = vals[:, ::-1].copy()
     vecs = vecs[..., ::-1]
     vecs = vecs * _phase_factors(vecs)
-    tied = (np.abs(np.diff(vals, axis=-1)) <= tie_tol).any(axis=-1)
+    tied = (np.abs(np.diff(vals, axis=-1)) <= 1e-12).any(axis=-1)
     for k in np.flatnonzero(tied):
         val, vec = vals[k], vecs[k]
         start = 0
         for stop in range(1, len(val) + 1):
-            if stop == len(val) or abs(val[stop] - val[start]) > tie_tol:
+            if stop == len(val) or abs(val[stop] - val[start]) > 1e-12:
                 order = sorted(range(start, stop), key=lambda j: _lex_key(vec[:, j]))
                 val[start:stop] = val[order]
                 vec[:, start:stop] = vec[:, order]
@@ -109,30 +108,31 @@ def check_finite(mat):
     return mat
 
 
-def check_density_stack(mats, tol=CONSTRUCTION_TOL, vectors=True):
+def check_density_stack(mats, vectors=True):
     """DensityMatrix checks over a (K, N, N) stack: finite and Hermitian, then
-    unit trace and PSD, each within ``tol``; the first failing matrix of a
-    stage raises and NaN fails.  Returns the ascending eigenvalues (K, N) of
-    the Hermitian parts and, with ``vectors``, their eigenvectors."""
+    unit trace and PSD, each within CONSTRUCTION_TOL; the first failing matrix
+    of a stage raises and NaN fails.  Returns the ascending eigenvalues (K, N)
+    of the Hermitian parts and, with ``vectors``, their eigenvectors."""
     dag = mats.conj().swapaxes(-1, -2)
     resid = np.abs(mats - dag)
-    if not resid.max() <= tol:
+    if not resid.max() <= CONSTRUCTION_TOL:
         herm_err = resid.max(axis=(-2, -1))
-        k = (~(herm_err <= tol)).argmax()
+        k = (~(herm_err <= CONSTRUCTION_TOL)).argmax()
         # a non-finite entry makes its matrix's residual non-finite
         if not np.isfinite(herm_err[k]):
             check_finite(mats[k])
-        raise NotHermitianError(
-            f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e} > {tol:.1e}")
+        raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
+                                f" > {CONSTRUCTION_TOL:.1e}")
     herm = 0.5 * (mats + dag)
     vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
     trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
-    worst = np.maximum(trace_err, -vals[:, 0])  # both checks share tol
-    if not worst.max() <= tol:
-        k = (~(worst <= tol)).argmax()
-        if not trace_err[k] <= tol:
-            raise TraceNotOneError(f"trace differs from 1 by {trace_err[k]:.3e} > {tol:.1e}")
-        raise NotPSDError(f"not PSD: min eigenvalue {vals[k, 0]:.3e} < -{tol:.1e}")
+    worst = np.maximum(trace_err, -vals[:, 0])  # both checks share the tolerance
+    if not worst.max() <= CONSTRUCTION_TOL:
+        k = (~(worst <= CONSTRUCTION_TOL)).argmax()
+        if not trace_err[k] <= CONSTRUCTION_TOL:
+            raise TraceNotOneError(
+                f"trace differs from 1 by {trace_err[k]:.3e} > {CONSTRUCTION_TOL:.1e}")
+        raise NotPSDError(f"not PSD: min eigenvalue {vals[k, 0]:.3e} < -{CONSTRUCTION_TOL:.1e}")
     return vals, vecs
 
 
@@ -145,26 +145,25 @@ class DensityStack:
     Attributes (the arrays with the leading stack axis of ``mat``):
         mat: the complex matrices as supplied.
         dim: N.
-        rank_tol: eigenvalue floor for the full-rank classification.
         eigenvalues: descending, phase-fixed spectral data.
         eigenvectors: columns matching ``eigenvalues``.
         min_eigenvalue: smallest eigenvalue.
-        full_rank: True iff min_eigenvalue > rank_tol.
+        full_rank: True iff min_eigenvalue > RANK_TOL.
         root: V sqrt(p), a square root W with W W^dag = rho, with
-            eigenvalues below zero (PSD drift within tol) taken as zero (cached).
+            eigenvalues below zero (PSD drift within CONSTRUCTION_TOL) taken
+            as zero (cached).
     """
 
-    def __init__(self, mats, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
+    def __init__(self, mats):
         mats = np.asarray(mats, dtype=complex)
         n = mats.shape[-1]
-        vals, vecs = _order_spectrum(*check_density_stack(mats.reshape(-1, n, n), tol=tol))
+        vals, vecs = _order_spectrum(*check_density_stack(mats.reshape(-1, n, n)))
         self.mat = mats
         self.dim = n
-        self.rank_tol = rank_tol
         self.eigenvalues = vals.reshape(mats.shape[:-1])
         self.eigenvectors = vecs.reshape(mats.shape)
         self.min_eigenvalue = self.eigenvalues[..., -1]
-        self.full_rank = self.min_eigenvalue > rank_tol
+        self.full_rank = self.min_eigenvalue > RANK_TOL
 
     @functools.cached_property
     def root(self):
@@ -175,17 +174,17 @@ class DensityMatrix(DensityStack):
     """One validated density matrix: the DensityStack of a single N x N
     matrix, with no stack axis."""
 
-    def __init__(self, matrix, tol=CONSTRUCTION_TOL, rank_tol=RANK_TOL):
+    def __init__(self, matrix):
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        super().__init__(mat, tol=tol, rank_tol=rank_tol)
+        super().__init__(mat)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, full_rank={self.full_rank})"
 
 
-def density_violations(matrix, tol=CONSTRUCTION_TOL):
+def density_violations(matrix):
     """All density-matrix violations of a candidate matrix, as messages.
 
     Unlike construction, which stops at the first failure, this runs every
@@ -198,14 +197,14 @@ def density_violations(matrix, tol=CONSTRUCTION_TOL):
         return ["finite: non-finite (nan or inf) entries"]
     found = []
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_err > tol:
-        found.append(f"hermiticity: max|rho - rho^dag| = {herm_err:.3e} > {tol:.1e}")
+    if herm_err > CONSTRUCTION_TOL:
+        found.append(f"hermiticity: max|rho - rho^dag| = {herm_err:.3e} > {CONSTRUCTION_TOL:.1e}")
     trace_err = abs(complex(np.trace(mat)) - 1.0)
-    if trace_err > tol:
-        found.append(f"trace: differs from 1 by {trace_err:.3e} > {tol:.1e}")
+    if trace_err > CONSTRUCTION_TOL:
+        found.append(f"trace: differs from 1 by {trace_err:.3e} > {CONSTRUCTION_TOL:.1e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-    if min_eig < -tol:
-        found.append(f"positivity: min eigenvalue {min_eig:.3e} < -{tol:.1e}")
+    if min_eig < -CONSTRUCTION_TOL:
+        found.append(f"positivity: min eigenvalue {min_eig:.3e} < -{CONSTRUCTION_TOL:.1e}")
     return found
 
 
@@ -217,19 +216,19 @@ class Purification:
     rho_E = (W^dag W)^T.
     """
 
-    def __init__(self, amplitudes, tol=CONSTRUCTION_TOL):
+    def __init__(self, amplitudes):
         amp = np.array(amplitudes, dtype=complex).ravel()
         n = round(np.sqrt(amp.size))
         if n * n != amp.size:
             raise ValidationError(f"amplitude length {amp.size} is not a perfect square")
-        check_norm_stack(amp.reshape(1, n, n), tol=tol)
+        check_norm_stack(amp.reshape(1, n, n))
         self.amplitudes = amp
         self.sys_dim = n
         self.env_dim = n
 
     @classmethod
-    def from_matrix(cls, w, tol=CONSTRUCTION_TOL):
-        return cls(np.asarray(w, dtype=complex).ravel(), tol=tol)
+    def from_matrix(cls, w):
+        return cls(np.asarray(w, dtype=complex).ravel())
 
     @property
     def amplitude_matrix(self):
@@ -243,13 +242,14 @@ class Purification:
         return f"Purification(sys_dim={self.sys_dim})"
 
 
-def check_norm_stack(amps, tol=CONSTRUCTION_TOL):
+def check_norm_stack(amps):
     """The Purification norm check over a (K, N, N) stack of amplitude
-    matrices: the first failing one raises (NaN fails)."""
+    matrices, within CONSTRUCTION_TOL: the first failing one raises (NaN fails)."""
     err = np.abs(np.einsum("kij,kij->k", amps.conj(), amps).real - 1.0)
-    if not (err <= tol).all():
+    ok = err <= CONSTRUCTION_TOL
+    if not ok.all():
         raise ValidationError(
-            f"norm^2 differs from 1 by {err[(~(err <= tol)).argmax()]:.3e} > {tol:.1e}")
+            f"norm^2 differs from 1 by {err[(~ok).argmax()]:.3e} > {CONSTRUCTION_TOL:.1e}")
     return amps
 
 
@@ -263,16 +263,16 @@ def purify(rho):
     return Purification.from_matrix(rho.root)
 
 
-def partial_trace_env(psi, rank_tol=RANK_TOL):
+def partial_trace_env(psi):
     """Reduced system state Tr_E |psi><psi|."""
     w = psi.amplitude_matrix
-    return DensityMatrix(w @ w.conj().T, rank_tol=rank_tol)
+    return DensityMatrix(w @ w.conj().T)
 
 
-def partial_trace_sys(psi, rank_tol=RANK_TOL):
+def partial_trace_sys(psi):
     """Reduced environment state Tr_S |psi><psi|."""
     w = psi.amplitude_matrix
-    return DensityMatrix((w.conj().T @ w).T, rank_tol=rank_tol)
+    return DensityMatrix((w.conj().T @ w).T)
 
 
 class SchmidtDecomposition:

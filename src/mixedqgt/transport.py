@@ -53,7 +53,7 @@ class LiftedCurve:
     constructor also takes sequences of Purification and DensityMatrix.
     """
 
-    def __init__(self, times, points, base_points, proj_tol=PROJECTION_TOL):
+    def __init__(self, times, points, base_points):
         times = np.asarray(times, dtype=float)
         amps, base = _stack(points, "amplitude_matrix"), _stack(base_points, "mat")
         if not (len(amps) == len(base) == times.size):
@@ -64,11 +64,11 @@ class LiftedCurve:
         err = np.concatenate([
             np.abs(amps[s] @ amps[s].conj().swapaxes(-1, -2) - base[s]).max(axis=(-2, -1))
             for s in chunks(len(amps), amps.shape[-1])])
-        if not (err <= proj_tol).all():
-            k = (~(err <= proj_tol)).argmax()
+        if not (err <= PROJECTION_TOL).all():
+            k = (~(err <= PROJECTION_TOL)).argmax()
             raise ValidationError(
                 f"node {k}: lift does not project to base point"
-                f" (max deviation {err[k]:.3e} > {proj_tol:.1e})"
+                f" (max deviation {err[k]:.3e} > {PROJECTION_TOL:.1e})"
             )
         self.times = times
         self.amplitudes = amps
@@ -143,13 +143,11 @@ def _continuity_phases(amps):
     """
     ov = np.concatenate([np.ones((1, amps.shape[-1])), _column_overlaps(amps)])
     mag = np.abs(ov)
-    unit = ov / np.where(mag > 0, mag, 1.0)
-    if (mag > 1e-12).all():
-        run = np.multiply.accumulate(unit, axis=0)
-    else:
-        run = unit
-        for k in range(1, len(run)):
-            run[k] = np.where(mag[k] > 1e-12, run[k - 1] * unit[k], 1.0)
+    restart = ~(mag > 1e-12)
+    run = np.multiply.accumulate(np.where(restart, 1.0, ov / np.where(restart, 1.0, mag)), axis=0)
+    # divide out the product up to each column's last restart (row 0 if none)
+    last = np.maximum.accumulate(np.where(restart, np.arange(len(ov))[:, None], 0), axis=0)
+    run = run / np.take_along_axis(run, last, axis=0)
     return run / np.abs(run)
 
 
@@ -184,63 +182,61 @@ def reference_lift(base_curve, times, gauge=None):
     return _aligned_lift(times, *_canonical_nodes(base_curve, times), gauge)
 
 
-def _start_alignment(reference, psi_start, start_tol=PROJECTION_TOL, unitary_tol=1e-8):
+def _start_alignment(reference, psi_start):
     """Environment unitary u0 with psi_start = (I (x) u0) psi_c(0)."""
     base0 = DensityMatrix(reference.base[0])
     w_start = psi_start.amplitude_matrix
     err = float(np.max(np.abs(w_start @ w_start.conj().T - base0.mat)))
-    if err > start_tol:
+    if err > PROJECTION_TOL:
         raise ValidationError(
             f"start state does not purify the loop base point"
-            f" (max deviation {err:.3e} > {start_tol:.1e})"
+            f" (max deviation {err:.3e} > {PROJECTION_TOL:.1e})"
         )
     if not base0.full_rank:
         raise RankDeficientError(
             f"base point min eigenvalue {base0.min_eigenvalue:.3e} <= rank floor"
-            f" {base0.rank_tol:.1e}: start alignment is not unique"
+            f" {RANK_TOL:.1e}: start alignment is not unique"
         )
     u0 = np.linalg.solve(reference.amplitudes[0], w_start).T
-    return _check_unitary(u0, tol=unitary_tol)
+    return _check_unitary(u0, tol=1e-8)
 
 
-def _step_factors(amps, times, rank_tol):
+def _step_factors(amps, times):
     """Midpoint transport factors exp(-i A^c(t + dt/2) dt), one stack per chunk."""
     dts = np.diff(times)
     for s in chunks(len(dts), amps.shape[-1]):
         w0, w1, dt = amps[:-1][s], amps[1:][s], dts[s]
         mid = 0.5 * (w0 + w1)
         mid = mid / np.linalg.norm(mid, axis=(-2, -1))[:, None, None]
-        a = _by_node(functools.partial(connection, rank_tol=rank_tol),
-                     mid, (w1 - w0) / dt[:, None, None]).mat
+        a = _by_node(connection, mid, (w1 - w0) / dt[:, None, None]).mat
         w, vecs = np.linalg.eigh(a)
         yield (vecs * np.exp(-1j * w * dt[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _check_overlaps(reference, overlap_min):
+def _check_overlaps(reference):
     ov = np.abs(_column_overlaps(reference.amplitudes).sum(axis=-1))
-    if (ov <= overlap_min).any():
-        k = (ov <= overlap_min).argmax()
+    if (ov <= OVERLAP_MIN).any():
+        k = (ov <= OVERLAP_MIN).argmax()
         raise CoarseGridError(
             f"reference overlap |<psi_{k}|psi_{k + 1}>| = {ov[k]:.4f} <="
-            f" {overlap_min}: grid too coarse for the curve (or the"
+            f" {OVERLAP_MIN}: grid too coarse for the curve (or the"
             " canonical lift crosses a phase branch)"
         )
 
 
-def _midpoint_factors(reference, psi_start, overlap_min, rank_tol):
+def _midpoint_factors(reference, psi_start):
     """Start alignment u0 and the lazy midpoint factors of every step.
 
     The factors are computed a chunk of steps at a time and handed out one
     by one, in step order.
     """
-    _check_overlaps(reference, overlap_min)
+    _check_overlaps(reference)
     u0 = _start_alignment(reference, psi_start)
-    chunked = _step_factors(reference.amplitudes, reference.times, rank_tol)
+    chunked = _step_factors(reference.amplitudes, reference.times)
     return u0, itertools.chain.from_iterable(chunked)
 
 
-def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
-                    rank_tol=RANK_TOL):
+def horizontal_lift(reference, psi_start=None):
     """Horizontal lift through psi_start over a reference lift.
 
     Returns a LiftedCurve whose nodes are the transported purifications;
@@ -250,7 +246,7 @@ def horizontal_lift(reference, psi_start=None, overlap_min=OVERLAP_MIN,
     """
     if psi_start is None:
         psi_start = Purification.from_matrix(reference.amplitudes[0])
-    u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
+    u0, factors = _midpoint_factors(reference, psi_start)
     unitaries = np.array(list(itertools.accumulate(factors, np.matmul, initial=u0)))
     points = reference.amplitudes @ unitaries.swapaxes(-1, -2)
     for s in chunks(len(points), points.shape[-1]):
@@ -283,31 +279,29 @@ class HolonomyResult:
     unitarity_residual: float
 
 
-def _holonomy_once(times, base, amps, psi_start, overlap_min, rank_tol, reference_gauge):
+def _holonomy_once(times, base, amps, psi_start, reference_gauge):
     reference = _aligned_lift(times, base, amps, reference_gauge)
-    u0, factors = _midpoint_factors(reference, psi_start, overlap_min, rank_tol)
+    u0, factors = _midpoint_factors(reference, psi_start)
     prod = functools.reduce(np.matmul, factors, np.eye(psi_start.env_dim, dtype=complex))
     return u0 @ prod @ u0.conj().T
 
 
-def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
-             closure_tol=CLOSURE_TOL, overlap_min=OVERLAP_MIN,
-             max_steps=MAX_STEPS, rank_tol=RANK_TOL, reference_gauge=None,
+def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=None,
              convergence_check=True):
     """Uhlmann holonomy of a closed base curve on [0, 1].
 
-    The loop must close to ``closure_tol`` in max-abs entry distance.  If
-    the node-to-node reference overlap drops below ``overlap_min`` the
-    step count is doubled (up to ``max_steps``) before giving up with
+    The loop must close to CLOSURE_TOL in max-abs entry distance.  If the
+    node-to-node reference overlap drops to OVERLAP_MIN or below, the step
+    count is doubled (up to MAX_STEPS) before giving up with
     CoarseGridError.  The convergence estimate is the change of the mean
     holonomy against a run at half resolution.
     """
     rho0 = _as_density(base_curve(0.0))
     rho1 = _as_density(base_curve(1.0))
     gap = float(np.max(np.abs(rho1.mat - rho0.mat)))
-    if gap > closure_tol:
+    if gap > CLOSURE_TOL:
         raise NotClosedError(
-            f"curve endpoints differ by {gap:.3e} > {closure_tol:.1e}"
+            f"curve endpoints differ by {gap:.3e} > {CLOSURE_TOL:.1e}"
         )
     if psi_start is None:
         psi_start = purify(rho0)
@@ -315,17 +309,16 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
     n = int(steps)
     if n < 2:
         raise ValidationError(f"need at least 2 steps, got {n}")
-    if n > max_steps:
-        raise ValidationError(f"steps = {n} exceeds max_steps = {max_steps}")
+    if n > MAX_STEPS:
+        raise ValidationError(f"steps = {n} exceeds max_steps = {MAX_STEPS}")
     while True:
         times = np.linspace(0.0, 1.0, n + 1)
         nodes = _canonical_nodes(base_curve, times)
         try:
-            u_hol = _holonomy_once(times, *nodes, psi_start, overlap_min,
-                                   rank_tol, reference_gauge)
+            u_hol = _holonomy_once(times, *nodes, psi_start, reference_gauge)
             break
         except CoarseGridError:
-            if 2 * n > max_steps:
+            if 2 * n > MAX_STEPS:
                 raise
             n *= 2
 
@@ -333,7 +326,7 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
     estimate = float("nan")
     if convergence_check:
         for n_alt in (n // 2, 2 * n):
-            if n_alt < 2 or n_alt > max_steps:
+            if n_alt < 2 or n_alt > MAX_STEPS:
                 continue
             alt_times = np.linspace(0.0, 1.0, n_alt + 1)
             # for even n the half grid is every second node, bit for bit, so
@@ -343,8 +336,7 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS,
             else:
                 alt_nodes = _canonical_nodes(base_curve, alt_times)
             try:
-                u_alt = _holonomy_once(alt_times, *alt_nodes, psi_start, overlap_min,
-                                       rank_tol, reference_gauge)
+                u_alt = _holonomy_once(alt_times, *alt_nodes, psi_start, reference_gauge)
             except CoarseGridError:
                 continue
             estimate = abs(complex(env_expectation(psi_start, u_alt)) - mean)

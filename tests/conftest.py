@@ -1,6 +1,10 @@
 """Shared helpers: random states/curves and the acceptance summary table."""
 
+import os
+import pathlib
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from mixedqgt import DensityMatrix
@@ -9,6 +13,18 @@ from mixedqgt import DensityMatrix
 # reproducible; numerical examples vary in cost, so no per-example deadline
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+@pytest.fixture(autouse=True, scope="session")
+def _checkout_on_child_path():
+    """The CLI tests start ``python -m mixedqgt.cli``; those interpreters get
+    this checkout's package too, as pytest itself does through ``pythonpath``
+    in pyproject.toml."""
+    paths = [str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
+
 
 # one line per acceptance criterion, printed after the run so the
 # pass/fail verdicts survive pytest's output capture

@@ -1,0 +1,34 @@
+import importlib
+import inspect
+import pkgutil
+import types
+
+import mixedqgt
+
+
+def _public_signatures():
+    """(qualified name, signature) of every public function, class and public
+    method defined in the mixedqgt modules."""
+    for info in pkgutil.iter_modules(mixedqgt.__path__):
+        module = importlib.import_module(f"mixedqgt.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", inspect.signature(obj)
+            elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                yield f"{info.name}.{name}", inspect.signature(obj)
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and isinstance(
+                            member, (types.FunctionType, classmethod, staticmethod)):
+                        yield f"{info.name}.{name}.{attr}", inspect.signature(getattr(obj, attr))
+
+
+def test_tolerances_are_not_parameters():
+    # the checks run at fixed module tolerances; only EnvOperator takes one,
+    # as from_symmetrized builds it unchecked (tol = inf)
+    found = [f"{where}({param})" for where, sig in _public_signatures()
+             if not where.startswith("bundle.EnvOperator")
+             for param in sig.parameters
+             if param in ("tol", "rank_tol", "mirror") or param.endswith("_tol")]
+    assert found == []

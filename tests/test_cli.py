@@ -517,9 +517,9 @@ def test_geodesic_csv_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, ca
 
 
 def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkeypatch):
-    # only the two endpoints are decomposed; each chunk of samples is checked
-    # without eigh and gets one svd per fidelity column, next to the one svd
-    # of the geodesic's construction
+    # only the two endpoints are decomposed; the samples rho = W W^dag are
+    # not checked again, and each chunk gets one svd per fidelity column,
+    # next to the one svd of the geodesic's construction
     rng = np.random.default_rng(31)
     paths = []
     for name in "ab":
@@ -532,9 +532,11 @@ def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkey
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
             patch.setattr(np.linalg, "svd", counted(calls, "svd", np.linalg.svd))
+            patch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
             assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
                              "--samples", str(samples), "--format", "csv",
                              "--output", str(tmp_path / "geo.csv")]) == 0
+        # eigvalsh is counted too, and is never called
         assert calls == {"eigh": 2, "svd": 1 + 2 * len(states.chunks(samples, 4))}
     assert len(states.chunks(2001, 4)) == 2
 

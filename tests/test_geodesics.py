@@ -26,7 +26,7 @@ from mixedqgt import states
 from mixedqgt.bundle import TangentVector, connection
 from mixedqgt.geodesics import (DEFAULT_ANGLE_MARGIN, bloch_vector, geodesic_points, ode_residual,
                                 ode_residuals)
-from mixedqgt.states import root_fidelity
+from mixedqgt.states import check_density_stack, root_fidelity
 from conftest import rand_bloch_density, rand_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -256,6 +256,17 @@ def test_stacked_samples_are_the_one_time_functions(case):
         assert abs(fid_a[k] - fidelity(point, a)) <= 2e-15
         assert abs(fid_b[k] - fidelity(point, b)) <= 2e-15
     assert ode_residuals(sol, times, 1e-3).tolist() == [ode_residual(sol, t, 1e-3) for t in times]
+
+
+@settings(max_examples=30)
+@given(geodesics_and_times(), st.lists(st.floats(0.0, np.pi), max_size=8))
+def test_geodesic_states_pass_the_density_checks(case, extra):
+    # geodesic_points leaves rho = W W^dag unchecked; times past theta, up to
+    # the full period the Bloch-ellipse fit samples, are drawn too
+    _, _, sol, times = case
+    w, rho = geodesic_points(sol, np.concatenate([times, extra]))
+    assert np.array_equal(rho, w @ w.conj().swapaxes(-1, -2))
+    check_density_stack(rho)
 
 
 @settings(max_examples=20)

@@ -383,3 +383,35 @@ def test_nan_reference_gauge_is_refused_at_the_first_node():
     curve = _NodeCurve(_rotated(np.linspace(0.0, 0.2, 5)), stacked=True)
     with pytest.raises(NotUnitaryError, match=r"= nan > 1\.0e-10$"):
         reference_lift(curve, curve.times(), gauge=lambda t: np.full((2, 2), np.nan))
+
+
+
+def _continuity_phases_reference(amps):
+    """The running product of unit overlaps as it was first written: one
+    accumulate when no overlap is at or below 1e-12, else a row loop that
+    restarts at 1 where one is."""
+    ov = np.concatenate([np.ones((1, amps.shape[-1])), transport._column_overlaps(amps)])
+    mag = np.abs(ov)
+    unit = ov / np.where(mag > 0, mag, 1.0)
+    if (mag > 1e-12).all():
+        run = np.multiply.accumulate(unit, axis=0)
+    else:
+        run = unit
+        for k in range(1, len(run)):
+            run[k] = np.where(mag[k] > 1e-12, run[k - 1] * unit[k], 1.0)
+    return run / np.abs(run)
+
+
+def test_continuity_phases_match_the_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        k, n = rng.integers(2, 20), rng.integers(1, 5)
+        amps = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        assert np.array_equal(transport._continuity_phases(amps),
+                              _continuity_phases_reference(amps))
+        # columns set to zero or shrunk below the floor make restarts; the
+        # loop and the division at a restart each round once per factor
+        for _ in range(rng.integers(1, 4)):
+            amps[rng.integers(k), :, rng.integers(n)] *= rng.choice([0.0, 1e-13])
+        got = transport._continuity_phases(amps)
+        assert np.max(np.abs(got - _continuity_phases_reference(amps))) <= 8 * k * np.finfo(float).eps
