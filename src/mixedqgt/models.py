@@ -209,10 +209,21 @@ def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residu
     return (mats, float(worst[0])) if return_residual else mats
 
 
-def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP):
+def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=None):
     """``derivatives`` at a (K, n) stack of points, with the worst discarded
     asymmetry of each point; all 2n central-difference neighbours of every
-    point are evaluated and validated as one stack."""
+    point are evaluated and validated as one stack.
+
+    ``centre`` is ``(mats, lowest)``: the (K, N, N) states at ``points``, as
+    already checked and decomposed by the caller, and the smallest eigenvalue
+    of each one's Hermitian part.  It certifies a neighbour rho with
+    ||rho - centre||_F <= lowest as PSD: by Weyl's inequality the Hermitian
+    part of rho then has no eigenvalue below lowest - ||rho - centre||_2 >= 0,
+    up to the centre's ``eigh`` rounding (about N eps), far inside
+    CONSTRUCTION_TOL.  Only uncertified neighbours are decomposed for the PSD
+    check; every neighbour still gets the finite, Hermitian and trace checks,
+    and the first failing one raises exactly as without ``centre``.
+    """
     if scheme == "analytic":
         if not model.analytic:
             raise NoAnalyticDerivativesError(
@@ -224,9 +235,18 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP):
     steps = h * np.eye(points.shape[1])
     # neighbour (k, nu, side) is points[k] + h e_nu (side 0) or - h e_nu (side 1)
     neighbours = points[:, None, None, :] + np.stack([steps, -steps], axis=1)
-    mats = model.matrices_at(model.check_points(neighbours.reshape(-1, points.shape[1])))
-    check_density_stack(mats, vectors=False)
-    mats = mats.reshape(*neighbours.shape[:3], *mats.shape[-2:])
+    flat = model.matrices_at(model.check_points(neighbours.reshape(-1, points.shape[1])))
+    mats = flat.reshape(*neighbours.shape[:3], *flat.shape[-2:])
+    certified = None
+    if centre is not None:
+        centre_mats, lowest = centre
+        # ||rho - centre||_F^2 sums the squares of the real and imaginary
+        # parts; a huge or non-finite neighbour gets an inf or NaN: uncertified
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = (mats - centre_mats[:, None, None]).view(float)
+            dist = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+        certified = (dist <= lowest[:, None, None]).ravel()
+    check_density_stack(flat, vectors=False, certified=certified)
     diff = (mats[:, :, 0] - mats[:, :, 1]) / (2 * h)
     dag = diff.conj().swapaxes(-1, -2)
     worst = np.abs(diff - dag).max(axis=(1, 2, 3))
@@ -469,8 +489,11 @@ class GridModel(ModelFamily):
     """Family defined by multilinear interpolation of tabulated nodes.
 
     Interpolation preserves Hermiticity and positivity (convex weights);
-    the trace may drift, so it is renormalized when within 1e-6 of one and
-    rejected beyond that.
+    the trace may drift, so it is renormalized when it is off by more than
+    1e-12 and rejected when it is off by more than 1e-6.  ``matrices_at``
+    interpolates a (K, n) stack of points in one pass: one ``searchsorted``
+    per axis, then the 2^n cell corners of every point gathered and summed
+    in corner order.  ``matrix_at`` is its one-point case.
     """
 
     analytic = False
@@ -482,32 +505,36 @@ class GridModel(ModelFamily):
         super().__init__(name, param_names, domain, check=check)
 
     def matrix_at(self, point):
-        weights = []
-        cells = []
-        for x, g in zip(point, self.grids):
-            hi = int(np.clip(np.searchsorted(g, x), 1, g.size - 1))
-            lo = hi - 1
-            cells.append((lo, hi))
-            weights.append((g[hi] - x) / (g[hi] - g[lo]))
+        return self.matrices_at([point])[0]
+
+    def matrices_at(self, points):
+        points = np.asarray(points, dtype=float)
+        his, weights = [], []
+        for x, g in zip(points.T, self.grids):
+            hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
+            his.append(hi)
+            weights.append((g[hi] - x) / (g[hi] - g[hi - 1]))
         dim = self.values.shape[-1]
-        mat = np.zeros((dim, dim), dtype=complex)
-        for corner in np.ndindex(*(2,) * len(cells)):
-            w = 1.0
-            idx = []
-            for d, side in enumerate(corner):
-                w *= weights[d] if side == 0 else 1.0 - weights[d]
-                idx.append(cells[d][side])
-            if w:
-                mat += w * self.values[tuple(idx)]
-        trace = float(np.trace(mat).real)
-        drift = abs(trace - 1.0)
-        if drift > 1e-6:
+        mats = np.zeros((len(points), dim, dim), dtype=complex)
+        for corner in np.ndindex(*(2,) * len(his)):
+            w = np.ones(len(points))
+            for wd, side in zip(weights, corner):
+                w = w * (wd if side == 0 else 1.0 - wd)
+            nodes = self.values[tuple(hi - 1 + side for hi, side in zip(his, corner))]
+            # a corner of weight zero adds nothing, even where its node is not finite
+            live = True if w.all() else (w != 0)[:, None, None]
+            np.multiply(w[:, None, None], nodes, out=nodes, where=live)
+            np.add(mats, nodes, out=mats, where=live)
+        trace = mats.trace(axis1=-2, axis2=-1).real
+        drift = np.abs(trace - 1.0)
+        if (drift > 1e-6).any():
+            k = (drift > 1e-6).argmax()
             raise ValidationError(
-                f"interpolated trace drifts by {drift:.3e} > 1e-6 at {list(point)}"
+                f"interpolated trace drifts by {drift[k]:.3e} > 1e-6 at {points[k].tolist()}"
             )
-        if drift > 1e-12:
-            mat = mat / trace
-        return mat
+        renorm = drift > 1e-12
+        mats[renorm] = mats[renorm] / trace[renorm, None, None]
+        return mats
 
 
 def _require(cond, message):

@@ -153,10 +153,12 @@ def msqgt_eigenroute(rho, drho_list, chart=None):
 def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
     """``msqgt_eigenroute(model.evaluate(x), derivatives(model, x, scheme, h))``
     at a (K, n) stack of chart points x, with the same checks in the same order
-    per stage, batched.  Returns Q (K, n, n) and the sym/antisym residuals."""
+    per stage, batched; the decomposed states certify their central-difference
+    neighbours as PSD (see ``derivative_stack``).  Returns Q (K, n, n) and the
+    sym/antisym residuals."""
     mats = model.matrices_at(model.check_points(points))
     p, basis = check_density_stack(mats)
-    drho, _ = derivative_stack(model, points, scheme, h)
+    drho, _ = derivative_stack(model, points, scheme, h, centre=(mats, p[:, 0]))
     if not p[:, 0].min() > RANK_TOL:
         k = (~(p[:, 0] > RANK_TOL)).argmax()
         raise RankDeficientError(

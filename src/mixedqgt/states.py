@@ -108,11 +108,14 @@ def check_finite(mat):
     return mat
 
 
-def check_density_stack(mats, vectors=True):
+def check_density_stack(mats, vectors=True, certified=None):
     """DensityMatrix checks over a (K, N, N) stack: finite and Hermitian, then
     unit trace and PSD, each within CONSTRUCTION_TOL; the first failing matrix
     of a stage raises and NaN fails.  Returns the ascending eigenvalues (K, N)
-    of the Hermitian parts and, with ``vectors``, their eigenvectors."""
+    of the Hermitian parts and their eigenvectors.  Without ``vectors`` it
+    only checks and returns None; then ``certified``, a (K,) mask of matrices
+    whose Hermitian parts are already known to be PSD, skips their
+    ``eigvalsh`` (see ``models.derivative_stack``)."""
     dag = mats.conj().swapaxes(-1, -2)
     resid = np.abs(mats - dag)
     if not resid.max() <= CONSTRUCTION_TOL:
@@ -123,17 +126,23 @@ def check_density_stack(mats, vectors=True):
             check_finite(mats[k])
         raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
                                 f" > {CONSTRUCTION_TOL:.1e}")
-    herm = 0.5 * (mats + dag)
-    vals, vecs = np.linalg.eigh(herm) if vectors else (np.linalg.eigvalsh(herm), None)
+    if vectors:
+        vals, vecs = np.linalg.eigh(0.5 * (mats + dag))
+        low = vals[:, 0]
+    else:
+        low = np.zeros(len(mats))
+        todo = np.ones(len(mats), dtype=bool) if certified is None else ~certified
+        if todo.any():
+            low[todo] = np.linalg.eigvalsh(0.5 * (mats[todo] + dag[todo]))[:, 0]
     trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
-    worst = np.maximum(trace_err, -vals[:, 0])  # both checks share the tolerance
+    worst = np.maximum(trace_err, -low)  # both checks share the tolerance
     if not worst.max() <= CONSTRUCTION_TOL:
         k = (~(worst <= CONSTRUCTION_TOL)).argmax()
         if not trace_err[k] <= CONSTRUCTION_TOL:
             raise TraceNotOneError(
                 f"trace differs from 1 by {trace_err[k]:.3e} > {CONSTRUCTION_TOL:.1e}")
-        raise NotPSDError(f"not PSD: min eigenvalue {vals[k, 0]:.3e} < -{CONSTRUCTION_TOL:.1e}")
-    return vals, vecs
+        raise NotPSDError(f"not PSD: min eigenvalue {low[k]:.3e} < -{CONSTRUCTION_TOL:.1e}")
+    return (vals, vecs) if vectors else None
 
 
 class DensityStack:

@@ -310,7 +310,7 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
     if n < 2:
         raise ValidationError(f"need at least 2 steps, got {n}")
     if n > MAX_STEPS:
-        raise ValidationError(f"steps = {n} exceeds max_steps = {MAX_STEPS}")
+        raise ValidationError(f"steps = {n} exceeds MAX_STEPS = {MAX_STEPS}")
     while True:
         times = np.linspace(0.0, 1.0, n + 1)
         nodes = _canonical_nodes(base_curve, times)

@@ -8,8 +8,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mixedqgt import (BlochQubitModel, export_grid_model, geodesic_point, matrix_to_json,
-                      solve_geodesic)
+from mixedqgt import (BlochQubitModel, GridModel, export_grid_model, geodesic_point,
+                      matrix_to_json, solve_geodesic)
 from mixedqgt import cli, states
 from mixedqgt.geodesics import bloch_vector, ode_residual
 from conftest import counted
@@ -539,6 +539,27 @@ def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkey
         # eigvalsh is counted too, and is never called
         assert calls == {"eigh": 2, "svd": 1 + 2 * len(states.chunks(samples, 4))}
     assert len(states.chunks(2001, 4)) == 2
+
+
+def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
+    # the decomposed centre states certify their +-h neighbours, so eigvalsh
+    # runs only for the metric check of each chunk's tensors; interpolation
+    # is stacked, and GridModel.matrix_at serves only the registration
+    # lattice (5 x 5) and the probe of N, whatever the sweep's size
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(export_grid_model(
+        BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)])))
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # points per chunk for N = 2
+    for count in (3, 11):
+        calls = defaultdict(int)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+            patch.setattr(GridModel, "matrix_at", counted(calls, "matrix_at", GridModel.matrix_at))
+            assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
+                             "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",
+                             "--output", str(tmp_path / "field.csv")]) == 0
+        assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)), "matrix_at": 5 ** 2 + 1}
+    assert len(states.chunks(11 ** 2, 2)) == 18
 
 
 def test_geodesic_between_close_points_succeeds():

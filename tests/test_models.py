@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from mixedqgt import (
@@ -15,6 +16,7 @@ from mixedqgt import (
     InvalidDensityAtNodeError,
     ModelFamily,
     NoAnalyticDerivativesError,
+    NotPSDError,
     OutOfDomainError,
     SchemaError,
     ThermalModel,
@@ -27,6 +29,9 @@ from mixedqgt import (
     partial_trace_env,
     rotated_field_qubit,
 )
+from mixedqgt.models import derivative_stack
+from mixedqgt.states import check_density_stack
+from conftest import counted, rand_herm, rand_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -265,8 +270,11 @@ def test_grid_trace_band():
 
     doc["nodes"][0]["re"] = ((1 + 2e-5) * node).tolist()
     grid = load_grid_model(doc, check=False, validate_nodes=False)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         grid.evaluate([0.0])
+    # the point prints as plain floats, without numpy's scalar repr
+    assert str(exc.value) == "interpolated trace drifts by 2.000e-05 > 1e-6 at [0.0]"
+    assert "np.float64" not in str(exc.value)
 
 
 def test_grid_model_has_no_analytic_derivatives():
@@ -331,3 +339,159 @@ def test_chart_loop_stack_names_the_first_point_outside():
             loop(t)
     assert str(stacked.value) == str(scalar.value)
     assert str(stacked.value).startswith("phi = ")
+
+
+def _loop_matrix_at(model, point):
+    """Per-point multilinear interpolation with trace renormalisation: the
+    reference for the stacked ``GridModel.matrices_at``."""
+    weights = []
+    cells = []
+    for x, g in zip(point, model.grids):
+        hi = int(np.clip(np.searchsorted(g, x), 1, g.size - 1))
+        lo = hi - 1
+        cells.append((lo, hi))
+        weights.append((g[hi] - x) / (g[hi] - g[lo]))
+    dim = model.values.shape[-1]
+    mat = np.zeros((dim, dim), dtype=complex)
+    for corner in np.ndindex(*(2,) * len(cells)):
+        w = 1.0
+        idx = []
+        for d, side in enumerate(corner):
+            w *= weights[d] if side == 0 else 1.0 - weights[d]
+            idx.append(cells[d][side])
+        if w:
+            mat += w * model.values[tuple(idx)]
+    trace = float(np.trace(mat).real)
+    drift = abs(trace - 1.0)
+    assert drift <= 1e-6
+    if drift > 1e-12:
+        mat = mat / trace
+    return mat
+
+
+def _random_grid_model(rng, dim, sizes):
+    grids = [np.sort(rng.uniform(-1.0, 1.0, size)) for size in sizes]
+    values = np.empty(tuple(sizes) + (dim, dim), dtype=complex)
+    for idx in np.ndindex(*sizes):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a @ a.conj().T + 0.1 * np.eye(dim)
+        # some nodes drift in trace, within and beyond the renormalisation floor
+        values[idx] = m / np.trace(m).real * (1.0 + rng.choice([0.0, 3e-13, 1e-9, 5e-7]))
+    return GridModel([f"x{d}" for d in range(len(sizes))], grids, values, check=False)
+
+
+@pytest.mark.parametrize("dim, sizes", [(2, (4,)), (3, (3, 5)), (5, (3, 2, 4)), (16, (2, 3))])
+def test_stacked_interpolation_is_the_per_point_loop_bit_for_bit(dim, sizes):
+    rng = np.random.default_rng(40 + dim)
+    model = _random_grid_model(rng, dim, sizes)
+    inside = np.column_stack([rng.uniform(g[0], g[-1], 40) for g in model.grids])
+    on_nodes = np.column_stack([rng.choice(g, 10) for g in model.grids])
+    on_edges = np.column_stack([rng.uniform(g[0], g[-1], 10) for g in model.grids])
+    on_edges[:, 0] = rng.choice(model.grids[0], 10)  # one coordinate on a cell edge
+    ends = np.array([[g[0] for g in model.grids], [g[-1] for g in model.grids]])
+    points = np.concatenate([inside, on_nodes, on_edges, ends])
+    stack = model.matrices_at(points)
+    for point, mat in zip(points, stack):
+        assert np.array_equal(mat, _loop_matrix_at(model, point))
+        assert np.array_equal(model.matrix_at(point), mat)  # the K = 1 case
+    assert np.array_equal(model.matrices_at(points[:1]), stack[:1])
+
+
+def test_zero_weight_corners_ignore_non_finite_nodes():
+    rng = np.random.default_rng(45)
+    model = _random_grid_model(rng, 3, (3, 3))
+    model.values[2, 2] = np.inf  # as loaded with validate_nodes=False
+    g0, g1 = model.grids
+    points = np.array([[g0[1], g1[1]], [g0[1], 0.5 * (g1[1] + g1[2])], [g0[0], g1[2]]])
+    stack = model.matrices_at(points)
+    assert np.isfinite(stack).all()
+    for point, mat in zip(points, stack):
+        assert np.array_equal(mat, _loop_matrix_at(model, point))
+
+
+def test_stacked_interpolation_names_the_first_drifting_point():
+    node = np.diag([0.5, 0.5])
+    model = GridModel(["x"], [np.array([0.0, 1.0, 2.0])],
+                      np.array([node, node, (1 + 2e-5) * node]), check=False)
+    points = np.array([[0.5], [1.9], [1.2], [2.0]])
+    with pytest.raises(ValidationError) as exc:
+        model.matrices_at(points)
+    assert str(exc.value) == "interpolated trace drifts by 1.800e-05 > 1e-6 at [1.9]"
+    with pytest.raises(ValidationError) as single:
+        model.matrix_at(points[1])
+    assert str(single.value) == str(exc.value)
+
+
+class _NeighbourModel(ModelFamily):
+    """rho0 + (x - i) s[i] A + (y - j) t[j] B near integer chart points (i, j):
+    every centre is rho0, and the neighbours of each point move by their own
+    scales s[i], t[j]."""
+
+    def __init__(self, rho0, a, b, s, t):
+        self.rho0, self.a, self.b, self.s, self.t = rho0, a, b, s, t
+        super().__init__("neighbours", ("x", "y"), ((-1.0, len(s)), (-1.0, len(t))),
+                         check=False)
+
+    def matrix_at(self, point):
+        i, j = (int(round(c)) for c in point)
+        return self.rho0 + (point[0] - i) * self.s[i] * self.a + (point[1] - j) * self.t[j] * self.b
+
+
+def _centre(model, points):
+    mats = model.matrices_at(points)
+    return mats, check_density_stack(mats)[0][:, 0]
+
+
+def _raised(fn):
+    try:
+        fn()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=80)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       floor=st.sampled_from([0.0, 1e-11, 1e-3, None]),
+       trace_part=st.sampled_from([0.0, 1e-7, 1.0]))
+def test_certified_neighbours_fail_exactly_as_the_full_check(n, seed, floor, trace_part):
+    # full-rank, near-floor and rank-deficient centres; neighbours moved by
+    # 1e-17 to 1e-2, so some are certified, some decomposed and some not PSD
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 1.0, n) if floor is None else np.append(rng.uniform(0.2, 1.0, n - 1),
+                                                                 0.0)
+    p /= p.sum()
+    if floor is not None:
+        p[:-1] *= 1.0 - floor
+        p[-1] = floor
+    u = rand_unitary(rng, n)
+    a, b = (rand_herm(rng, n) for _ in range(2))
+    a -= (np.trace(a).real / n - trace_part) * np.eye(n)  # a may move the trace
+    b -= np.trace(b).real / n * np.eye(n)
+    model = _NeighbourModel((u * p) @ u.conj().T, a / np.linalg.norm(a), b / np.linalg.norm(b),
+                            10.0 ** rng.uniform(-12, 3, 3), 10.0 ** rng.uniform(-12, 3, 3))
+    points = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+    centre = _centre(model, points)
+    plain = _raised(lambda: derivative_stack(model, points))
+    assert _raised(lambda: derivative_stack(model, points, centre=centre)) == plain
+    if plain is None:
+        for x, y in zip(derivative_stack(model, points, centre=centre),
+                        derivative_stack(model, points)):
+            assert np.array_equal(x, y)
+
+
+def test_uncertified_neighbour_keeps_the_not_psd_text(monkeypatch):
+    rho0 = np.diag([1.0 - 1e-11, 1e-11]).astype(complex)
+    move = np.diag([-1.0, 1.0]).astype(complex)
+    # the x neighbours move by 1e-8 (beyond the centre's 1e-11), the y ones not at all
+    model = _NeighbourModel(rho0, move, move, [1e-3], [0.0])
+    points = np.array([[0.0, 0.0]])
+    calls = {"eigvalsh": 0}
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+    with pytest.raises(NotPSDError) as certified:
+        derivative_stack(model, points, centre=_centre(model, points))
+    assert calls == {"eigvalsh": 1}  # the two x neighbours, as one stack
+    with pytest.raises(NotPSDError) as plain:
+        derivative_stack(model, points)
+    assert str(certified.value) == str(plain.value)
+    assert str(certified.value) == "not PSD: min eigenvalue -9.990e-09 < -1.0e-12"

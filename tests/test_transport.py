@@ -104,7 +104,7 @@ def test_holonomy_step_bounds():
     curve = unitary_orbit_curve(rng, 2)
     with pytest.raises(ValidationError):
         holonomy(curve, steps=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^steps = 65536 exceeds MAX_STEPS = 32768$"):
         holonomy(curve, steps=2 ** 16)
 
 
