@@ -183,7 +183,7 @@ def connection_schmidt(sd, dsd):
     p = sd.coefficients.astype(float) ** 2
     if len(p) > 1:
         gap = float(np.min(np.abs(np.diff(p))))
-        if gap < 1e-8:
+        if not gap >= 1e-8:
             raise DegenerateSpectrumError(
                 f"spectrum gap {gap:.3e} < 1.0e-08: Schmidt-basis derivatives"
                 " are not fixed by the phase convention"

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .states import (
     DensityMatrix,
+    _by_item,
     chunks,
     density_violations,
     load_matrix,
@@ -234,14 +235,9 @@ def _grid_axes(model, grid_specs, pole_margin):
 def _field_chunk(task):
     """Table rows (chart point, Q upper triangle re/im, residuals) of one chunk."""
     model, scheme, h, points = task
-    try:
-        q, sym, antisym = msqgt_field(model, points, scheme, h)
-    except MixedQGTError as exc:
-        if len(points) == 1:
-            raise type(exc)(f"at grid point {points[0].tolist()}: {exc}") from None
-        for k in range(len(points)):  # the first failing point names the error
-            _field_chunk((model, scheme, h, points[k:k + 1]))
-        raise
+    q, sym, antisym = _by_item(
+        lambda p: msqgt_field(model, p, scheme, h), points,
+        label=lambda k, exc: type(exc)(f"at grid point {points[k].tolist()}: {exc}"))
     upper = np.triu_indices(q.shape[-1])
     return np.column_stack([points, q.real[:, upper[0], upper[1]],
                             q.imag[:, upper[0], upper[1]], sym, antisym])

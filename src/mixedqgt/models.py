@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .states import (DensityMatrix, Purification, check_density_stack, check_finite,
+from .states import (DensityMatrix, Purification, _by_item, check_density_stack, chunks,
                      complex_matrix, fix_phase, purify)
 from .bundle import TangentVector, connection
 
@@ -39,7 +39,8 @@ class ModelFamily:
     ``analytic_derivative_matrices`` (setting ``analytic = True``) and an
     analytic ``lift``/``lift_tangents`` pair.  ``matrices_at`` and
     ``derivative_matrices_at`` are their batched forms over (K, n) stacks of
-    points; by default they stack the per-point results.
+    points; by default they stack the per-point results.  Registration checks
+    its lattice and its three derivative probes through them, as stacks.
     """
 
     analytic = False
@@ -146,22 +147,21 @@ class ModelFamily:
 
     # --- registration -------------------------------------------------------
     def _registration_check(self):
-        axes = [np.linspace(lo, hi, 5) for lo, hi in self.domain]
-        for idx in np.ndindex(*(5,) * self.n_params):
-            self.evaluate([axes[d][i] for d, i in enumerate(idx)])
+        lo, hi = np.array(self.domain).T
+        for _ in _grid_states(self, np.linspace(lo, hi, 5).T):
+            pass
         if not self.analytic:
             return
         tol = 10.0 * DEFAULT_FD_STEP ** 2
-        for frac in (0.3, 0.5, 0.7):
-            point = np.array([lo + frac * (hi - lo) for lo, hi in self.domain])
-            exact = self.analytic_derivatives(point)
-            approx = derivatives(self, point, scheme="central")
-            worst = max(float(np.max(np.abs(e - a))) for e, a in zip(exact, approx))
-            if worst > tol:
-                raise ValidationError(
-                    f"family {self.name!r}: analytic derivatives deviate from"
-                    f" central differences by {worst:.3e} > {tol:.1e}"
-                )
+
+        def compare(probes):
+            exact, _ = derivative_stack(self, probes, "analytic")
+            approx, _ = derivative_stack(self, probes, "central")
+            worst = float(np.max(np.abs(exact - approx)))
+            if not worst <= tol:
+                raise ValidationError(f"family {self.name!r}: analytic derivatives deviate from"
+                                      f" central differences by {worst:.3e} > {tol:.1e}")
+        _by_item(compare, lo + np.array([[0.3], [0.5], [0.7]]) * (hi - lo))
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, params={self.param_labels})"
@@ -193,6 +193,20 @@ class ChartLoop:
 
     def stack(self, times):
         return self.model.matrices_at(self.model.check_points(self.points(times)))
+
+
+def _grid_states(model, axes):
+    """Yield the family's matrices at the grid spanned by one 1-D axis per
+    parameter, in C order of the multi-indices.  They are evaluated and
+    checked as ``evaluate`` checks each point (in the domain, then a density
+    matrix) in ``states.chunks`` stacks; the first failing point raises."""
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+    def checked(p):
+        return check_density_stack(model.matrices_at(model.check_points(p)), vectors=False)
+    dim = model.matrices_at(model.check_points(points[:1])).shape[-1]  # sets the chunk size
+    for s in chunks(len(points), dim):
+        yield from _by_item(checked, points[s])
 
 
 def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residual=False):
@@ -345,7 +359,7 @@ class BlochQubitModel(ModelFamily):
 def _check_hermitian(mat, what):
     mat = np.asarray(mat, dtype=complex)
     asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if asym > 1e-10:
+    if not asym <= 1e-10:
         raise NotHermitianError(f"{what} not Hermitian: max|H - H^dag| = {asym:.3e}")
     return mat
 
@@ -451,38 +465,26 @@ def rotated_field_qubit(beta, gap=0.5):
 
 # --- grid-model interchange ---------------------------------------------------
 
-def export_grid_model(model, grids, path=None):
+def export_grid_model(model, grids):
     """Tabulate a family on a rectangular grid as a JSON-ready object.
 
     ``grids`` is one strictly increasing 1-D array per parameter, in
-    chart order.  Nodes are emitted in C order of their multi-indices.
+    chart order.  Nodes are emitted in C order of their multi-indices, checked
+    as ``states.chunks`` stacks: the first failing node raises.
     """
     grids = [np.asarray(g, dtype=float).ravel() for g in grids]
     if len(grids) != model.n_params:
-        raise DimensionMismatchError(
-            f"{len(grids)} grids for a {model.n_params}-parameter family"
-        )
+        raise DimensionMismatchError(f"{len(grids)} grids for a {model.n_params}-parameter family")
     for lbl, g in zip(model.param_labels, grids):
         if g.size < 2 or np.any(np.diff(g) <= 0):
             raise ValidationError(f"grid for {lbl} must be strictly increasing, >= 2 points")
-    nodes = []
-    for idx in np.ndindex(*(g.size for g in grids)):
-        point = [grids[d][i] for d, i in enumerate(idx)]
-        mat = model.evaluate(point).mat
-        nodes.append({
-            "index": list(idx),
-            "re": mat.real.tolist(),
-            "im": mat.imag.tolist(),
-        })
-    obj = {
+    nodes = [{"index": list(idx), "re": mat.real.tolist(), "im": mat.imag.tolist()}
+             for idx, mat in zip(np.ndindex(*(g.size for g in grids)), _grid_states(model, grids))]
+    return {
         "params": [{"name": lbl, "grid": g.tolist()}
                    for lbl, g in zip(model.param_labels, grids)],
         "nodes": nodes,
     }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-    return obj
 
 
 class GridModel(ModelFamily):
@@ -498,11 +500,11 @@ class GridModel(ModelFamily):
 
     analytic = False
 
-    def __init__(self, param_names, grids, values, name="grid-model", check=True):
+    def __init__(self, param_names, grids, values, check=True):
         self.grids = [np.asarray(g, dtype=float) for g in grids]
         self.values = np.asarray(values, dtype=complex)
         domain = [(g[0], g[-1]) for g in self.grids]
-        super().__init__(name, param_names, domain, check=check)
+        super().__init__("grid-model", param_names, domain, check=check)
 
     def matrix_at(self, point):
         return self.matrices_at([point])[0]
@@ -542,14 +544,14 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
-def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
+def load_grid_model(source, check=True, validate_nodes=True):
     """Parse and validate a grid model from a path, file object, or dict.
 
-    Schema errors (malformed document) raise SchemaError; a node that
-    parses but is not a density matrix raises InvalidDensityAtNodeError
-    naming the offending index.  ``validate_nodes=False`` skips the
-    per-node density check (used by reporting tools that want to collect
-    every violation instead of stopping at the first).
+    Schema errors (malformed document) raise SchemaError, all of them before
+    the nodes are checked, in document order as ``states.chunks`` stacks: the
+    first that is not a density matrix raises InvalidDensityAtNodeError
+    naming its index.  ``validate_nodes=False`` skips the node check (used by
+    reporting tools that want to collect every violation, not the first).
     """
     if isinstance(source, dict):
         obj = source
@@ -589,18 +591,18 @@ def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
     _require(len(nodes) == expected,
              f"expected {expected} nodes for grid shape {shape}, got {len(nodes)}")
     values = None
-    seen = np.zeros(shape, dtype=bool)
+    seen = {}  # node index -> None, in document order
     for k, node in enumerate(nodes):
         _require(isinstance(node, dict) and set(node) == {"index", "re", "im"},
                  f"nodes[{k}] must have exactly index/re/im")
         idx = node["index"]
         _require(isinstance(idx, list) and len(idx) == len(shape),
                  f"nodes[{k}].index must have {len(shape)} entries")
-        _require(all(isinstance(i, int) and 0 <= i < s for i, s in zip(idx, shape)),
+        _require(all(type(i) is int and 0 <= i < s for i, s in zip(idx, shape)),  # not bool
                  f"nodes[{k}].index {idx} outside grid shape {list(shape)}")
         idx = tuple(idx)
-        _require(not seen[idx], f"duplicate node index {list(idx)}")
-        seen[idx] = True
+        _require(idx not in seen, f"duplicate node index {list(idx)}")
+        seen[idx] = None
         try:
             mat = complex_matrix(node["re"], node["im"])
         except (TypeError, ValueError):
@@ -611,10 +613,11 @@ def load_grid_model(source, name="grid-model", check=True, validate_nodes=True):
             values = np.empty(shape + mat.shape, dtype=complex)
         _require(mat.shape == values.shape[-2:],
                  f"nodes[{k}] dimension {mat.shape[0]} differs from previous nodes")
-        if validate_nodes:
-            try:
-                DensityMatrix(check_finite(mat))
-            except ValidationError as exc:
-                raise InvalidDensityAtNodeError(f"node {list(idx)}: {exc}") from None
         values[idx] = mat
-    return GridModel(names, grids, values, name=name, check=check)
+    if validate_nodes:
+        at = np.array(list(seen))
+        for s in chunks(len(at), values.shape[-1]):
+            _by_item(partial(check_density_stack, vectors=False), values[tuple(at[s].T)],
+                     label=lambda k, exc, s=s: InvalidDensityAtNodeError(
+                         f"node {at[s][k].tolist()}: {exc}"))
+    return GridModel(names, grids, values, check=check)

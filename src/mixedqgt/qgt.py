@@ -185,7 +185,7 @@ def pure_qgt(xi, dxi_list, chart=None):
     """Pure-state tensor <d_nu xi|d_mu xi> - <d_nu xi|xi><xi|d_mu xi>."""
     xi = np.asarray(xi, dtype=complex).ravel()
     nrm = float(np.linalg.norm(xi))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise ValidationError(f"state norm {nrm!r} deviates from 1 by more than 1.0e-10")
     dxi = np.reshape([np.asarray(d, dtype=complex).ravel() for d in dxi_list], (-1, xi.size))
     overlaps = dxi @ xi.conj()
@@ -206,11 +206,11 @@ class CurvatureTensor:
         self.antisym_residual = float(np.max(np.abs(blocks + swapped))) if n else 0.0
         dag = np.conj(np.transpose(blocks, (0, 1, 3, 2)))
         self.herm_residual = float(np.max(np.abs(blocks - dag))) if n else 0.0
-        if self.antisym_residual > 1e-8:
+        if not self.antisym_residual <= 1e-8:
             raise ValidationError(
                 f"curvature not antisymmetric: residual {self.antisym_residual:.3e}"
             )
-        if self.herm_residual > 1e-8:
+        if not self.herm_residual <= 1e-8:
             raise ValidationError(
                 f"curvature blocks not Hermitian: residual {self.herm_residual:.3e}"
             )
@@ -242,8 +242,8 @@ def gauge_curvature(connection_field, point, chart=None):
     stencil = np.array([[_as_matrices(connection_field(point + sign * offset))
                          for sign in (1.0, -1.0)] for offset in offsets])
     jumps = np.abs(stencil - center).max(axis=(-2, -1))
-    if (jumps > CURVATURE_JUMP_TOL).any():
-        nu, side, mu = np.unravel_index((jumps > CURVATURE_JUMP_TOL).argmax(), jumps.shape)
+    if not jumps.max() <= CURVATURE_JUMP_TOL:
+        nu, side, mu = np.unravel_index((~(jumps <= CURVATURE_JUMP_TOL)).argmax(), jumps.shape)
         raise InconsistentStencilError(
             f"connection component {mu} jumps by {jumps[nu, side, mu]:.3e} across the"
             f" {'+-'[side]}{CURVATURE_STENCIL_STEP:g} stencil in direction {nu}; refusing to"

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    MixedQGTError,
     NotHermitianError,
     NotPSDError,
     SchemaError,
@@ -47,6 +48,21 @@ def chunks(count, dim):
     (at least one), for stacks of dim x dim matrices."""
     size = max(1, CHUNK_ENTRIES // (dim * dim))
     return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _by_item(fn, *stacks, label=None):
+    """``fn`` over stacked items (nodes, steps, points).  When a check fails,
+    ``fn`` runs again one item at a time, so the first failing item k raises,
+    its checks in their per-item order; ``label(k, exc)``, if given, relabels it."""
+    try:
+        return fn(*stacks)
+    except MixedQGTError:
+        for k in range(len(stacks[0])):
+            try:
+                fn(*(s[k:k + 1] for s in stacks))
+            except MixedQGTError as exc:
+                raise exc if label is None else label(k, exc) from None
+        raise
 
 
 def _phase_factors(cols):
@@ -109,21 +125,18 @@ def check_finite(mat):
 
 
 def check_density_stack(mats, vectors=True, certified=None):
-    """DensityMatrix checks over a (K, N, N) stack: finite and Hermitian, then
-    unit trace and PSD, each within CONSTRUCTION_TOL; the first failing matrix
-    of a stage raises and NaN fails.  Returns the ascending eigenvalues (K, N)
-    of the Hermitian parts and their eigenvectors.  Without ``vectors`` it
-    only checks and returns None; then ``certified``, a (K,) mask of matrices
-    whose Hermitian parts are already known to be PSD, skips their
-    ``eigvalsh`` (see ``models.derivative_stack``)."""
-    dag = mats.conj().swapaxes(-1, -2)
+    """DensityMatrix checks over a (K, N, N) stack: finite entries (before
+    any arithmetic on them), then Hermitian, then unit trace and PSD, each
+    within CONSTRUCTION_TOL; the first failing matrix of a stage raises.
+    Returns the ascending eigenvalues (K, N) of the Hermitian parts and their
+    eigenvectors.  Without ``vectors`` it only checks and returns ``mats``; then
+    ``certified``, a (K,) mask of matrices whose Hermitian parts are already
+    known to be PSD, skips their ``eigvalsh`` (see ``models.derivative_stack``)."""
+    dag = check_finite(mats).conj().swapaxes(-1, -2)
     resid = np.abs(mats - dag)
     if not resid.max() <= CONSTRUCTION_TOL:
         herm_err = resid.max(axis=(-2, -1))
         k = (~(herm_err <= CONSTRUCTION_TOL)).argmax()
-        # a non-finite entry makes its matrix's residual non-finite
-        if not np.isfinite(herm_err[k]):
-            check_finite(mats[k])
         raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
                                 f" > {CONSTRUCTION_TOL:.1e}")
     if vectors:
@@ -142,7 +155,7 @@ def check_density_stack(mats, vectors=True, certified=None):
             raise TraceNotOneError(
                 f"trace differs from 1 by {trace_err[k]:.3e} > {CONSTRUCTION_TOL:.1e}")
         raise NotPSDError(f"not PSD: min eigenvalue {low[k]:.3e} < -{CONSTRUCTION_TOL:.1e}")
-    return (vals, vecs) if vectors else None
+    return (vals, vecs) if vectors else mats
 
 
 class DensityStack:

@@ -29,13 +29,12 @@ import numpy as np
 from .errors import (
     CoarseGridError,
     DimensionMismatchError,
-    MixedQGTError,
     NotClosedError,
     RankDeficientError,
     ValidationError,
 )
-from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, check_norm_stack,
-                     chunks, purify, root_fidelity)
+from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, _by_item as _by_node,
+                     check_norm_stack, chunks, purify, root_fidelity)
 from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
@@ -94,18 +93,6 @@ def _check_times(times):
 
 def _as_density(value):
     return value if isinstance(value, DensityMatrix) else DensityMatrix(value)
-
-
-def _by_node(fn, *stacks):
-    """``fn`` over stacked nodes or steps.  When a check fails, ``fn`` runs
-    again one node at a time, so the first failing node raises, with its
-    checks in their per-node order."""
-    try:
-        return fn(*stacks)
-    except MixedQGTError:
-        for k in range(len(stacks[0])):
-            fn(*(s[k:k + 1] for s in stacks))
-        raise
 
 
 def _canonical_nodes(base_curve, times):

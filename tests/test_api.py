@@ -32,3 +32,12 @@ def test_tolerances_are_not_parameters():
              for param in sig.parameters
              if param in ("tol", "rank_tol", "mirror") or param.endswith("_tol")]
     assert found == []
+
+
+def test_grid_model_parameters_that_no_caller_set_are_gone():
+    # callers dump the exported dict themselves, and every grid model is "grid-model"
+    signatures = dict(_public_signatures())
+    assert "path" not in signatures["models.export_grid_model"].parameters
+    assert "name" not in signatures["models.load_grid_model"].parameters
+    assert "name" not in signatures["models.GridModel"].parameters
+    assert mixedqgt.GridModel(["x"], [[0.0, 1.0]], [[[1.0]], [[1.0]]]).name == "grid-model"

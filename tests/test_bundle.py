@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from mixedqgt import (
+    DegenerateSpectrumError,
     DensityMatrix,
     DensityStack,
     DimensionMismatchError,
@@ -12,6 +13,8 @@ from mixedqgt import (
     NotUnitaryError,
     RankDeficientError,
     Purification,
+    SchmidtDecomposition,
+    SchmidtDerivative,
     TangentVector,
     connection,
     connection_schmidt,
@@ -156,6 +159,15 @@ def test_schmidt_connection_matches_global_form():
     sd, dsd = schmidt_curve_derivative(pcurve, t0, h=1e-5)
     a_schmidt = connection_schmidt(sd, dsd)
     assert np.max(np.abs(a_global.mat - a_schmidt.mat)) < 1e-6
+
+
+def test_schmidt_connection_refuses_a_nan_coefficient():
+    eye = np.eye(2, dtype=complex)
+    sd = SchmidtDecomposition([np.nan, 0.6], eye, eye)
+    dsd = SchmidtDerivative(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DegenerateSpectrumError) as exc:
+        connection_schmidt(sd, dsd)
+    assert str(exc.value).startswith("spectrum gap nan < 1.0e-08: ")
 
 
 def test_gauge_transform_preserves_base_and_norm():

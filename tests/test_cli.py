@@ -543,9 +543,10 @@ def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkey
 
 def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
     # the decomposed centre states certify their +-h neighbours, so eigvalsh
-    # runs only for the metric check of each chunk's tensors; interpolation
-    # is stacked, and GridModel.matrix_at serves only the registration
-    # lattice (5 x 5) and the probe of N, whatever the sweep's size
+    # runs only for the metric check of each chunk's tensors, plus the set-up
+    # checks of the 7 x 7 nodes and the 5 x 5 registration lattice, one per
+    # chunk; interpolation is stacked, and GridModel.matrix_at serves only
+    # the probe of N, whatever the sweep's size
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(export_grid_model(
         BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)])))
@@ -558,7 +559,8 @@ def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
             assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
                              "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",
                              "--output", str(tmp_path / "field.csv")]) == 0
-        assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)), "matrix_at": 5 ** 2 + 1}
+        setup = len(states.chunks(7 ** 2, 2)) + len(states.chunks(5 ** 2, 2))
+        assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)) + setup, "matrix_at": 1}
     assert len(states.chunks(11 ** 2, 2)) == 18
 
 

@@ -1,5 +1,6 @@
 import json
 import pickle
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from mixedqgt import (
     DimensionMismatchError,
     GridModel,
     InvalidDensityAtNodeError,
+    MixedQGTError,
     ModelFamily,
     NoAnalyticDerivativesError,
+    NotHermitianError,
     NotPSDError,
     OutOfDomainError,
     SchemaError,
     ThermalModel,
+    TraceNotOneError,
     ValidationError,
     bures_metric,
     derivatives,
@@ -30,7 +34,8 @@ from mixedqgt import (
     rotated_field_qubit,
 )
 from mixedqgt.models import derivative_stack
-from mixedqgt.states import check_density_stack
+from mixedqgt import states
+from mixedqgt.states import check_density_stack, complex_matrix
 from conftest import counted, rand_herm, rand_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -495,3 +500,242 @@ def test_uncertified_neighbour_keeps_the_not_psd_text(monkeypatch):
         derivative_stack(model, points)
     assert str(certified.value) == str(plain.value)
     assert str(certified.value) == "not PSD: min eigenvalue -9.990e-09 < -1.0e-12"
+
+
+# --- set-up checks as stacks, against the per-item loops they replace ---------
+
+BAD_STATES = {
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[0.5, 0.0], [0.0, np.inf]]),
+    "inf-off": np.array([[0.5, -np.inf], [0.0, 0.5]]),
+    "hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "trace": np.diag([0.6, 0.6]),
+    "psd": np.diag([1.2, -0.2]),
+}
+
+
+class _Patchwork(ModelFamily):
+    """Qubit family on [0, 4]^2 (its registration lattice is the integer
+    points) that gives the named BAD_STATES at the points in ``bad``, and
+    whose analytic derivatives lie by ``lies[frac]`` at the registration
+    probe lo + frac (hi - lo)."""
+
+    analytic = True
+
+    def __init__(self, bad=(), lies=(), check=True):
+        self.bad = dict(bad)
+        self.lies = dict(lies)
+        super().__init__("patchwork", ("x", "y"), ((0.0, 4.0), (0.0, 4.0)), check=check)
+
+    def matrix_at(self, point):
+        x, y = (float(c) for c in point)
+        if (x, y) in self.bad:
+            return BAD_STATES[self.bad[x, y]].astype(complex)
+        return 0.5 * (np.eye(2) + 0.3 * np.sin(x) * SX + 0.4 * np.cos(y) * SZ)
+
+    def analytic_derivative_matrices(self, point):
+        x, y = point
+        lie = self.lies.get(round(float(x) / 4.0, 1), 0.0)
+        return [0.15 * np.cos(x) * SX + lie * SZ, -0.2 * np.sin(y) * SZ]
+
+
+def _first_error(fn):
+    """(class, message) of the package error ``fn`` raises, None if none."""
+    try:
+        fn()
+    except MixedQGTError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _loop_registration(model):
+    """Registration one item at a time: the reference for the stacked check."""
+    axes = [np.linspace(lo, hi, 5) for lo, hi in model.domain]
+    for idx in np.ndindex(*(5,) * model.n_params):
+        model.evaluate([axes[d][i] for d, i in enumerate(idx)])
+    if not model.analytic:
+        return
+    tol = 10.0 * 1e-5 ** 2
+    for frac in (0.3, 0.5, 0.7):
+        point = np.array([lo + frac * (hi - lo) for lo, hi in model.domain])
+        exact = model.analytic_derivatives(point)
+        approx = derivatives(model, point, scheme="central")
+        worst = float(np.max(np.abs(np.array(exact) - np.array(approx))))
+        if not worst <= tol:
+            raise ValidationError(f"family {model.name!r}: analytic derivatives deviate from"
+                                  f" central differences by {worst:.3e} > {tol:.1e}")
+
+
+def _loop_export(model, grids):
+    """export_grid_model one node at a time: the reference for the stacked one."""
+    nodes = []
+    for idx in np.ndindex(*(len(g) for g in grids)):
+        mat = model.evaluate([grids[d][i] for d, i in enumerate(idx)]).mat
+        nodes.append({"index": list(idx), "re": mat.real.tolist(), "im": mat.imag.tolist()})
+    return {"params": [{"name": lbl, "grid": [float(x) for x in g]}
+                       for lbl, g in zip(model.param_labels, grids)],
+            "nodes": nodes}
+
+
+def _loop_node_check(doc):
+    """The node density check one node at a time, in document order."""
+    for node in doc["nodes"]:
+        try:
+            DensityMatrix(complex_matrix(node["re"], node["im"]))
+        except ValidationError as exc:
+            raise InvalidDensityAtNodeError(f"node {node['index']}: {exc}") from None
+
+
+LATTICE_CASES = [
+    {},
+    {(0.0, 0.0): "nan"},
+    {(2.0, 3.0): "psd", (4.0, 4.0): "nan"},
+    {(1.0, 4.0): "hermitian", (2.0, 0.0): "inf"},
+    {(3.0, 1.0): "trace", (3.0, 2.0): "inf-off", (0.0, 4.0): "psd"},
+    {(4.0, 4.0): "hermitian", (1.0, 1.0): "trace", (1.0, 2.0): "nan", (1.0, 3.0): "psd"},
+]
+
+
+@pytest.mark.parametrize("chunk_points", [1, 3, 25])
+@pytest.mark.parametrize("bad", LATTICE_CASES)
+def test_stacked_registration_names_the_loops_first_failure(monkeypatch, bad, chunk_points):
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * chunk_points)  # points per chunk, N = 2
+    model = _Patchwork(bad, check=False)
+    expected = _first_error(lambda: _loop_registration(model))
+    assert (expected is None) == (not bad)
+    assert _first_error(model._registration_check) == expected
+    assert _first_error(lambda: _Patchwork(bad)) == expected
+
+
+@pytest.mark.parametrize("lies", [{0.5: 1e-3}, {0.7: 2e-3, 0.3: 5e-8}, {0.5: 1e-6, 0.7: np.nan},
+                                  {0.3: np.nan}, {0.7: -3e-9}])
+def test_stacked_derivative_probes_name_the_loops_first_failure(monkeypatch, lies):
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * 3)
+    model = _Patchwork(lies=lies, check=False)
+    expected = _first_error(lambda: _loop_registration(model))
+    assert expected is not None and expected[0] is ValidationError
+    assert _first_error(model._registration_check) == expected
+    # a lattice failure comes before any probe
+    model.bad = {(3.0, 3.0): "trace"}
+    assert _first_error(model._registration_check)[0] is TraceNotOneError
+
+
+def test_nan_analytic_derivatives_fail_registration():
+    with pytest.raises(ValidationError) as exc:
+        _Patchwork(lies={0.5: np.nan})
+    assert str(exc.value) == ("family 'patchwork': analytic derivatives deviate from"
+                              " central differences by nan > 1.0e-09")
+
+
+def test_stacked_registration_names_the_first_drifting_point(monkeypatch):
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * 4)
+    rng = np.random.default_rng(60)
+    model = _random_grid_model(rng, 2, (4, 3))
+    node = np.diag([0.5, 0.5])
+    model.values[...] = node
+    model.values[2, 1] = (1 + 3e-5) * node  # drifts at the lattice points around it
+    model.values[3, 2] = (1 + 9e-5) * node
+    model.values[0, 0] = np.diag([1.5, -0.5])  # not PSD at the first lattice point only
+    for values in (model.values.copy(), model.values[::-1, ::-1].copy()):
+        model.values = values
+        expected = _first_error(lambda: _loop_registration(model))
+        assert expected is not None
+        assert _first_error(model._registration_check) == expected
+
+
+EXPORT_CASES = [
+    ({}, None),
+    ({(1.0, 2.0): "psd", (3.0, 0.0): "nan"}, None),
+    ({(3.0, 2.0): "hermitian"}, 1),  # the column x = 5 is outside the domain
+    ({(1.0, 0.0): "inf", (1.0, 2.0): "trace"}, 0),
+    ({}, 0),
+]
+
+
+@pytest.mark.parametrize("bad, outside", EXPORT_CASES)
+def test_stacked_export_is_the_per_node_loop(monkeypatch, bad, outside):
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * 3)
+    grids = [np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 2.0, 4.0])]
+    if outside is not None:
+        grids[outside] = np.append(grids[outside], 5.0)
+    model = _Patchwork(bad, check=False)
+    expected = _first_error(lambda: _loop_export(model, grids))
+    assert _first_error(lambda: export_grid_model(model, grids)) == expected
+    if expected is None:
+        assert json.dumps(export_grid_model(model, grids)) == json.dumps(_loop_export(model, grids))
+
+
+@pytest.mark.parametrize("model", [BlochQubitModel(r=0.8), rotated_field_qubit(2.0)])
+def test_exported_json_is_byte_identical_to_the_per_node_loop(monkeypatch, model):
+    grids = [np.linspace(0.0, np.pi, 7), np.linspace(0.0, 2 * np.pi, 6)]
+    for entries in (states.CHUNK_ENTRIES, 4 * 5):
+        monkeypatch.setattr(states, "CHUNK_ENTRIES", entries)
+        assert json.dumps(export_grid_model(model, grids)) == json.dumps(_loop_export(model, grids))
+
+
+NODE_CASES = [
+    {(2, 1): "psd", (0, 2): "nan"},
+    {(1, 1): "inf", (3, 0): "hermitian"},
+    {(0, 0): "trace", (3, 2): "inf-off", (2, 2): "psd"},
+    {(3, 2): "hermitian", (0, 1): "trace", (1, 0): "nan"},
+]
+
+
+@pytest.mark.parametrize("chunk_nodes", [1, 5, 12])
+@pytest.mark.parametrize("bad", NODE_CASES)
+@pytest.mark.parametrize("listing", ["index", "reversed", "shuffled"])
+def test_stacked_node_check_names_the_first_bad_node_in_document_order(
+        monkeypatch, bad, chunk_nodes, listing):
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * chunk_nodes)
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 4),
+                                                     np.linspace(0.0, 6.0, 3)])
+    for node in doc["nodes"]:
+        kind = bad.get(tuple(node["index"]))
+        if kind is not None:
+            node["re"], node["im"] = BAD_STATES[kind].tolist(), np.zeros((2, 2)).tolist()
+    # nodes listed in or out of index order
+    order = {"index": np.arange(12), "reversed": np.arange(12)[::-1],
+             "shuffled": np.random.default_rng(7).permutation(12)}[listing]
+    doc["nodes"] = [doc["nodes"][k] for k in order]
+    expected = _first_error(lambda: _loop_node_check(doc))
+    assert expected is not None and expected[0] is InvalidDensityAtNodeError
+    assert _first_error(lambda: load_grid_model(doc, check=False)) == expected
+    load_grid_model(doc, check=False, validate_nodes=False)
+
+
+def test_grid_schema_errors_come_before_node_density_errors():
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 3),
+                                                     np.linspace(0.0, 6.0, 3)])
+    doc["nodes"][0]["re"] = BAD_STATES["trace"].tolist()
+    doc["nodes"][5]["im"] = [[0.0, "x"], [0.0, 0.0]]
+    with pytest.raises(SchemaError) as exc:
+        load_grid_model(doc)
+    assert str(exc.value) == "nodes[5] has non-numeric matrix entries"
+    doc["nodes"][5]["im"] = np.zeros((2, 2)).tolist()
+    with pytest.raises(InvalidDensityAtNodeError) as exc:
+        load_grid_model(doc)
+    assert str(exc.value).startswith("node [0, 0]: trace differs from 1 by")
+    # a JSON true is no node index, though Python's bool is an int
+    doc["nodes"][3]["index"] = [True, 0]
+    with pytest.raises(SchemaError) as exc:
+        load_grid_model(doc)
+    assert str(exc.value) == "nodes[3].index [True, 0] outside grid shape [3, 3]"
+
+
+def test_loading_and_registering_a_grid_model_decomposes_nothing(monkeypatch):
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 6),
+                                                     np.linspace(0.0, 6.0, 5)])
+    calls = defaultdict(int)
+    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+    load_grid_model(doc)
+    assert calls["eigh"] == 0
+    assert calls["eigvalsh"] == len(states.chunks(30, 2)) + len(states.chunks(25, 2))
+
+
+def test_nan_hamiltonian_is_not_hermitian():
+    model = ThermalModel(lambda point: np.full((2, 2), np.nan), 1.0, ("x",), ((0.0, 1.0),),
+                         check=False)
+    with pytest.raises(NotHermitianError) as exc:
+        model.ground_state([0.5])
+    assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = nan"

@@ -34,6 +34,9 @@ from mixedqgt.qgt import check_tensor_stack, msqgt_field, spectral_qgt_stack
 from conftest import counted, rand_herm, rand_unitary, traceless_herm, rand_density
 
 
+SZ_OP = np.diag([1.0, -1.0]).astype(complex)
+
+
 def linear_family(rng, n, scale=0.15):
     rho0 = rand_density(rng, n, floor=0.3)
     deltas = [traceless_herm(rng, n, scale), traceless_herm(rng, n, scale)]
@@ -128,6 +131,28 @@ def test_pure_qgt_matches_bloch_sphere_closed_form():
     assert np.isclose(q.entries[0, 0].real, 0.25, atol=1e-8)
     assert np.isclose(q.entries[1, 1].real, np.sin(theta) ** 2 / 4, atol=1e-8)
     assert np.isclose(q.entries[0, 1].imag, np.sin(theta) / 4, atol=1e-8)
+
+
+def test_nan_state_fails_the_norm_check():
+    with pytest.raises(ValidationError) as exc:
+        pure_qgt(np.array([np.nan, 0.0]), [np.zeros(2), np.ones(2)])
+    assert str(exc.value) == "state norm nan deviates from 1 by more than 1.0e-10"
+
+
+def test_nan_curvature_blocks_are_refused():
+    with pytest.raises(ValidationError) as exc:
+        CurvatureTensor(np.full((2, 2, 2, 2), np.nan, dtype=complex))
+    assert str(exc.value) == "curvature not antisymmetric: residual nan"
+
+
+def test_nan_connection_stencil_is_refused():
+    def field(point):
+        sign = np.nan if point[0] > 0.5 else 1.0
+        return [sign * SZ_OP, np.zeros((2, 2))]
+
+    with pytest.raises(InconsistentStencilError) as exc:
+        gauge_curvature(field, [0.5, 0.5])
+    assert str(exc.value).startswith("connection component 0 jumps by nan across the +")
 
 
 def test_pure_qgt_rejects_unnormalized_state():

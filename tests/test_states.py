@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,13 +63,27 @@ def test_density_violations_lists_everything():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf in the residual
 def test_non_finite_entries_are_refused_by_name(bad):
     mat = np.array([[0.6, 0.0], [0.0, 0.4]], dtype=complex)
     mat[0, 0] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         DensityMatrix(mat)
     assert density_violations(mat) == ["finite: non-finite (nan or inf) entries"]
+
+
+@pytest.mark.parametrize("at", [(0, 0), (1, 1), (0, 1), (1, 0)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, -np.inf)])
+def test_infinite_entries_are_refused_before_any_arithmetic(at, bad):
+    # inf - inf in the Hermiticity residual would warn; the finite check comes first
+    mat = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    mat[at] = bad
+    stack = np.array([np.diag([0.5, 0.5]), np.diag([0.3, 0.7]), mat, np.diag([1.0, 0.0])])
+    for build, arg in ((DensityMatrix, mat), (DensityStack, stack)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                build(arg)
+        assert str(exc.value) == "density matrix has non-finite (nan or inf) entries"
 
 
 def test_rank_detection():
