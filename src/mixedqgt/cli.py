@@ -37,6 +37,7 @@ from .errors import (
 from .states import (
     DensityMatrix,
     _by_item,
+    _stack_violations,
     chunks,
     density_violations,
     load_matrix,
@@ -450,9 +451,12 @@ def _cmd_validate(args):
     findings = []
     if {"params", "nodes"} <= set(obj):
         model = load_grid_model(obj, check=False, validate_nodes=False)
-        for idx in np.ndindex(*(g.size for g in model.grids)):
-            for message in density_violations(model.values[idx]):
-                findings.append(f"node {list(idx)}: {message}")
+        n = model.values.shape[-1]
+        nodes = list(np.ndindex(*(g.size for g in model.grids)))
+        flat = model.values.reshape(len(nodes), n, n)
+        for s in chunks(len(nodes), n):
+            for idx, messages in zip(nodes[s], _stack_violations(flat[s])):
+                findings.extend(f"node {list(idx)}: {message}" for message in messages)
         kind = "grid model"
     elif {"dim", "re", "im"} <= set(obj):
         findings.extend(density_violations(matrix_from_json(obj)))

@@ -124,30 +124,47 @@ def check_finite(mat):
     return mat
 
 
-def check_density_stack(mats, vectors=True, certified=None):
-    """DensityMatrix checks over a (K, N, N) stack: finite entries (before
-    any arithmetic on them), then Hermitian, then unit trace and PSD, each
-    within CONSTRUCTION_TOL; the first failing matrix of a stage raises.
-    Returns the ascending eigenvalues (K, N) of the Hermitian parts and their
-    eigenvectors.  Without ``vectors`` it only checks and returns ``mats``; then
-    ``certified``, a (K,) mask of matrices whose Hermitian parts are already
-    known to be PSD, skips their ``eigvalsh`` (see ``models.derivative_stack``)."""
-    dag = check_finite(mats).conj().swapaxes(-1, -2)
-    resid = np.abs(mats - dag)
-    if not resid.max() <= CONSTRUCTION_TOL:
-        herm_err = resid.max(axis=(-2, -1))
-        k = (~(herm_err <= CONSTRUCTION_TOL)).argmax()
-        raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
-                                f" > {CONSTRUCTION_TOL:.1e}")
+def _density_residuals(mats, vectors=False, certified=None):
+    """Residuals of the density checks for each item of a (K, N, N) stack:
+    all entries finite, max|rho - rho^dag|, |Tr rho - 1| and the lowest
+    eigenvalue of (rho + rho^dag) / 2, taken as 0 for ``certified`` items (no
+    ``eigvalsh``).  Non-finite items are zeroed before any arithmetic, and
+    entries near the float maximum give inf residuals without a warning.
+    Last comes the ascending ``eigh`` of the Hermitian parts with ``vectors``."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0.0)
+    dag = mats.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        herm_err = np.abs(mats - dag).max(axis=(-2, -1))
+        trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+    spectrum = None
     if vectors:
-        vals, vecs = np.linalg.eigh(0.5 * (mats + dag))
-        low = vals[:, 0]
+        spectrum = np.linalg.eigh(0.5 * mats + 0.5 * dag)  # halved first: no overflow
+        low = spectrum[0][:, 0]
     else:
         low = np.zeros(len(mats))
         todo = np.ones(len(mats), dtype=bool) if certified is None else ~certified
         if todo.any():
-            low[todo] = np.linalg.eigvalsh(0.5 * (mats[todo] + dag[todo]))[:, 0]
-    trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+            low[todo] = np.linalg.eigvalsh(0.5 * mats[todo] + 0.5 * dag[todo])[:, 0]
+    return finite, herm_err, trace_err, low, spectrum
+
+
+def check_density_stack(mats, vectors=True, certified=None):
+    """DensityMatrix checks over a (K, N, N) stack (see ``_density_residuals``):
+    finite entries, then Hermitian, then unit trace and PSD, each within
+    CONSTRUCTION_TOL; the first failing matrix of a stage raises.  Returns the
+    ascending eigenvalues (K, N) of the Hermitian parts and their eigenvectors.
+    Without ``vectors`` it only checks and returns ``mats``; then ``certified``,
+    a (K,) mask of matrices whose Hermitian parts are already known to be PSD,
+    skips their ``eigvalsh`` (see ``models.derivative_stack``)."""
+    finite, herm_err, trace_err, low, spectrum = _density_residuals(mats, vectors, certified)
+    if not finite.all():
+        check_finite(mats)
+    if not herm_err.max() <= CONSTRUCTION_TOL:
+        k = (~(herm_err <= CONSTRUCTION_TOL)).argmax()
+        raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
+                                f" > {CONSTRUCTION_TOL:.1e}")
     worst = np.maximum(trace_err, -low)  # both checks share the tolerance
     if not worst.max() <= CONSTRUCTION_TOL:
         k = (~(worst <= CONSTRUCTION_TOL)).argmax()
@@ -155,7 +172,7 @@ def check_density_stack(mats, vectors=True, certified=None):
             raise TraceNotOneError(
                 f"trace differs from 1 by {trace_err[k]:.3e} > {CONSTRUCTION_TOL:.1e}")
         raise NotPSDError(f"not PSD: min eigenvalue {low[k]:.3e} < -{CONSTRUCTION_TOL:.1e}")
-    return (vals, vecs) if vectors else mats
+    return spectrum if vectors else mats
 
 
 class DensityStack:
@@ -215,18 +232,21 @@ def density_violations(matrix):
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return [f"shape: not square, got {mat.shape}"]
-    if not np.isfinite(mat).all():
-        return ["finite: non-finite (nan or inf) entries"]
-    found = []
-    herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_err > CONSTRUCTION_TOL:
-        found.append(f"hermiticity: max|rho - rho^dag| = {herm_err:.3e} > {CONSTRUCTION_TOL:.1e}")
-    trace_err = abs(complex(np.trace(mat)) - 1.0)
-    if trace_err > CONSTRUCTION_TOL:
-        found.append(f"trace: differs from 1 by {trace_err:.3e} > {CONSTRUCTION_TOL:.1e}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
-    if min_eig < -CONSTRUCTION_TOL:
-        found.append(f"positivity: min eigenvalue {min_eig:.3e} < -{CONSTRUCTION_TOL:.1e}")
+    return _stack_violations(mat[None])[0]
+
+
+def _stack_violations(mats):
+    """``density_violations`` of every matrix of a (K, N, N) stack, from one
+    pass of the stacked residuals."""
+    tol, found = CONSTRUCTION_TOL, []
+    for finite, herm_err, trace_err, min_eig in zip(*_density_residuals(mats)[:4]):
+        checks = (
+            (herm_err > tol, f"hermiticity: max|rho - rho^dag| = {herm_err:.3e} > {tol:.1e}"),
+            (trace_err > tol, f"trace: differs from 1 by {trace_err:.3e} > {tol:.1e}"),
+            (not min_eig >= -tol, f"positivity: min eigenvalue {min_eig:.3e} < -{tol:.1e}"),
+        )
+        found.append([message for bad, message in checks if bad] if finite
+                     else ["finite: non-finite (nan or inf) entries"])
     return found
 
 

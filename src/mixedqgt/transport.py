@@ -9,8 +9,10 @@ accumulated as a left-ordered product of midpoint exponentials,
     U_{k+1} = U_k exp(-i A^c(t_{k+1/2}) dt),
 
 which keeps every factor exactly unitary and converges at second order.
-The holonomy of a closed loop is U(T) U_0^dag, and its mean is the
-overlap of the start purification with its transported return.
+The reference need not close, W_c(1) = W_c(0) C (phase continuity carries
+each Schmidt column's phase around a loop), so the holonomy of a closed
+loop is U(T) C^T U_0^dag: the map with (I (x) U) psi(0) = psi(T).  Its
+mean is the overlap of the start purification with its transported return.
 
 Nodes and steps run as (K, N, N) stacks.  The base curve is evaluated at
 all nodes at once (through its ``stack`` method, else node by node); the
@@ -20,8 +22,6 @@ do not depend on the chunk boundaries, and a failing check names the
 first failing node or step, as a node-by-node loop would.
 """
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,20 +188,14 @@ def _start_alignment(reference, psi_start):
     return _check_unitary(u0, tol=1e-8)
 
 
-def _step_factors(amps, times):
-    """Midpoint transport factors exp(-i A^c(t + dt/2) dt), one stack per chunk."""
-    dts = np.diff(times)
-    for s in chunks(len(dts), amps.shape[-1]):
-        w0, w1, dt = amps[:-1][s], amps[1:][s], dts[s]
-        mid = 0.5 * (w0 + w1)
-        mid = mid / np.linalg.norm(mid, axis=(-2, -1))[:, None, None]
-        a = _by_node(connection, mid, (w1 - w0) / dt[:, None, None]).mat
-        w, vecs = np.linalg.eigh(a)
-        yield (vecs * np.exp(-1j * w * dt[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def _check_overlaps(reference):
-    ov = np.abs(_column_overlaps(reference.amplitudes).sum(axis=-1))
+def _transport_unitaries(reference, psi_start):
+    """The environment unitaries U_k = u0 f_1 ... f_k of the transport from
+    psi_start, one per node as a (K, N, N) stack: u0 is the start alignment
+    and f_k = exp(-i A^c(t + dt/2) dt) the midpoint factor of step k.  The
+    factors are formed a chunk of steps at a time and multiplied in step
+    order."""
+    amps, dts = reference.amplitudes, np.diff(reference.times)
+    ov = np.abs(_column_overlaps(amps).sum(axis=-1))
     if (ov <= OVERLAP_MIN).any():
         k = (ov <= OVERLAP_MIN).argmax()
         raise CoarseGridError(
@@ -209,32 +203,31 @@ def _check_overlaps(reference):
             f" {OVERLAP_MIN}: grid too coarse for the curve (or the"
             " canonical lift crosses a phase branch)"
         )
-
-
-def _midpoint_factors(reference, psi_start):
-    """Start alignment u0 and the lazy midpoint factors of every step.
-
-    The factors are computed a chunk of steps at a time and handed out one
-    by one, in step order.
-    """
-    _check_overlaps(reference)
-    u0 = _start_alignment(reference, psi_start)
-    chunked = _step_factors(reference.amplitudes, reference.times)
-    return u0, itertools.chain.from_iterable(chunked)
+    unitaries = np.empty_like(amps)
+    unitaries[0] = _start_alignment(reference, psi_start)
+    for s in chunks(len(dts), amps.shape[-1]):
+        w0, w1, dt = amps[:-1][s], amps[1:][s], dts[s]
+        mid = 0.5 * (w0 + w1)
+        mid = mid / np.linalg.norm(mid, axis=(-2, -1))[:, None, None]
+        a = _by_node(connection, mid, (w1 - w0) / dt[:, None, None]).mat
+        w, vecs = np.linalg.eigh(a)
+        factors = (vecs * np.exp(-1j * w * dt[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        for prev, f, cur in zip(unitaries[s.start:], factors, unitaries[s.start + 1:]):
+            np.matmul(prev, f, out=cur)
+    return unitaries
 
 
 def horizontal_lift(reference, psi_start=None):
     """Horizontal lift through psi_start over a reference lift.
 
     Returns a LiftedCurve whose nodes are the transported purifications;
-    the accumulated environment unitaries are attached as the (K, N, N)
-    stack ``transport_unitaries`` (one per node, identity gauge at the
-    start meaning U_0 = u0, the start alignment).
+    the environment unitaries U_k = u0 f_1 ... f_k (u0 the start alignment,
+    f_k the midpoint factors) are attached as the (K, N, N) stack
+    ``transport_unitaries``, the same products ``holonomy`` closes.
     """
     if psi_start is None:
         psi_start = Purification.from_matrix(reference.amplitudes[0])
-    u0, factors = _midpoint_factors(reference, psi_start)
-    unitaries = np.array(list(itertools.accumulate(factors, np.matmul, initial=u0)))
+    unitaries = _transport_unitaries(reference, psi_start)
     points = reference.amplitudes @ unitaries.swapaxes(-1, -2)
     for s in chunks(len(points), points.shape[-1]):
         check_norm_stack(points[s])
@@ -268,9 +261,9 @@ class HolonomyResult:
 
 def _holonomy_once(times, base, amps, psi_start, reference_gauge):
     reference = _aligned_lift(times, base, amps, reference_gauge)
-    u0, factors = _midpoint_factors(reference, psi_start)
-    prod = functools.reduce(np.matmul, factors, np.eye(psi_start.env_dim, dtype=complex))
-    return u0 @ prod @ u0.conj().T
+    unitaries = _transport_unitaries(reference, psi_start)
+    closing = np.linalg.solve(reference.amplitudes[0], reference.amplitudes[-1])
+    return unitaries[-1] @ closing.T @ unitaries[0].conj().T
 
 
 def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=None,
@@ -280,8 +273,10 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
     The loop must close to CLOSURE_TOL in max-abs entry distance.  If the
     node-to-node reference overlap drops to OVERLAP_MIN or below, the step
     count is doubled (up to MAX_STEPS) before giving up with
-    CoarseGridError.  The convergence estimate is the change of the mean
-    holonomy against a run at half resolution.
+    CoarseGridError.  The unitary U maps the start purification to its
+    transported return, (I (x) U) psi_start = psi_end, and the mean holonomy
+    is <psi_start|psi_end>.  The convergence estimate is the change of the
+    mean holonomy against a run at half resolution.
     """
     rho0 = _as_density(base_curve(0.0))
     rho1 = _as_density(base_curve(1.0))

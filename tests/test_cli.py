@@ -3,13 +3,14 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from mixedqgt import (BlochQubitModel, GridModel, export_grid_model, geodesic_point,
-                      matrix_to_json, solve_geodesic)
+from mixedqgt import (BlochQubitModel, GridModel, density_violations, export_grid_model,
+                      geodesic_point, load_grid_model, matrix_to_json, solve_geodesic)
 from mixedqgt import cli, states
 from mixedqgt.geodesics import bloch_vector, ode_residual
 from conftest import counted
@@ -467,6 +468,46 @@ def test_non_finite_grid_node_fails_with_one_error_line(tmp_path, part, col):
     assert r.returncode == 1
     assert r.stdout == "FAIL node [1, 1]: finite: non-finite (nan or inf) entries\n"
     assert r.stderr == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entries_near_the_float_maximum_fail_with_only_the_error_lines(tmp_path, capsys):
+    # the Hermiticity residual and the trace overflow to inf without a warning
+    good_path = _state_file(tmp_path / "good.json", np.diag([0.3, 0.7]))
+    for mat, error, fail in (
+            ([[0.5, 1e308], [-1e308, 0.5]], "not Hermitian: max|rho - rho^dag| = inf > 1.0e-12",
+             "hermiticity: max|rho - rho^dag| = inf > 1.0e-12"),
+            ([[1.5e308, 0.0], [0.0, 1.5e308]], "trace differs from 1 by inf > 1.0e-12",
+             "trace: differs from 1 by inf > 1.0e-12")):
+        bad_path = _state_file(tmp_path / "bad.json", np.array(mat))
+        assert cli.main(["geodesic", "--state-a", bad_path, "--state-b", good_path]) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert cli.main(["validate", bad_path]) == 1
+        assert capsys.readouterr() == (f"FAIL {fail}\n", "")
+
+
+def test_validate_checks_grid_nodes_a_chunk_at_a_time(tmp_path, monkeypatch, capsys):
+    doc = export_grid_model(BlochQubitModel(r=0.9),
+                            [np.linspace(0.3, 2.8, 3), np.linspace(0.0, 6.0, 3)])
+    doc["nodes"][1]["re"] = [[1.4, 0.0], [0.0, -0.4]]
+    doc["nodes"][5]["re"][0][1] = float("inf")
+    doc["nodes"][7]["im"] = [[0.0, 1e308], [1e308, 0.0]]  # Hermiticity residual inf
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    model = load_grid_model(doc, check=False, validate_nodes=False)
+    expected = "".join(f"FAIL node {list(idx)}: {message}\n"
+                       for idx in np.ndindex(3, 3)
+                       for message in density_violations(model.values[idx]))
+    calls = defaultdict(int)
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 4 * 2 * 2)
+    monkeypatch.setattr(states, "_density_residuals",
+                        counted(calls, "residuals", states._density_residuals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == (expected, "")
+    assert expected.count("FAIL") == 3
+    assert calls["residuals"] == len(states.chunks(9, 2)) == 3
 
 
 def test_geodesic_csv_columns_come_from_the_shared_helpers(tmp_path):

@@ -28,7 +28,7 @@ from mixedqgt import (
     schmidt,
     sorted_eigh,
 )
-from mixedqgt.states import RANK_TOL, _phase_factors, check_norm_stack
+from mixedqgt.states import RANK_TOL, _phase_factors, _stack_violations, check_norm_stack
 from conftest import rand_density, rand_herm, rand_unitary
 
 
@@ -84,6 +84,52 @@ def test_infinite_entries_are_refused_before_any_arithmetic(at, bad):
             with pytest.raises(ValidationError) as exc:
                 build(arg)
         assert str(exc.value) == "density matrix has non-finite (nan or inf) entries"
+
+
+# entries near the float maximum: the residuals overflow to inf, and the
+# Hermitian part is halved before the sum, so its spectrum stays finite
+# unless the eigenvalues themselves pass the float maximum (then nan fails)
+_HUGE = [
+    ([[0.5, 1e308], [-1e308, 0.5]], NotHermitianError,
+     "not Hermitian: max|rho - rho^dag| = inf > 1.0e-12",
+     ["hermiticity: max|rho - rho^dag| = inf > 1.0e-12"]),
+    ([[1.5e308, 0.0], [0.0, 1.5e308]], TraceNotOneError,
+     "trace differs from 1 by inf > 1.0e-12", ["trace: differs from 1 by inf > 1.0e-12"]),
+    ([[1.5e308, 0.0], [0.0, -1.5e308]], TraceNotOneError,
+     "trace differs from 1 by 1.000e+00 > 1.0e-12",
+     ["trace: differs from 1 by 1.000e+00 > 1.0e-12",
+      "positivity: min eigenvalue -1.500e+308 < -1.0e-12"]),
+    ([[0.5, 1e308], [1e308, 0.5]], NotPSDError,
+     "not PSD: min eigenvalue -1.000e+308 < -1.0e-12",
+     ["positivity: min eigenvalue -1.000e+308 < -1.0e-12"]),
+    ([[0.5, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.5]], NotPSDError,
+     "not PSD: min eigenvalue nan < -1.0e-12", ["positivity: min eigenvalue nan < -1.0e-12"]),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mat, error, message, violations", _HUGE)
+def test_entries_near_the_float_maximum_fail_without_a_warning(mat, error, message, violations):
+    mat = np.array(mat, dtype=complex)
+    with pytest.raises(error) as exc:
+        DensityMatrix(mat)
+    assert str(exc.value) == message
+    assert density_violations(mat) == violations
+    stack = np.array([np.diag([0.5, 0.5]), mat, np.diag([0.3, 0.7])])
+    assert _stack_violations(stack) == [[], violations, []]
+
+
+def test_stacked_violations_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(20)
+    mats = np.array([rand_density(rng, 3).mat for _ in range(6)])
+    mats[1, 0, 0] += 1e-9j                       # trace and Hermiticity
+    mats[2] = np.diag([1.2, 0.1, -0.3])          # not PSD
+    mats[3, 1, 2] = np.nan                       # non-finite
+    mats[4] *= 1.0 + 1e-11                       # trace
+    mats[5, 0, 1] += 1e-9                        # Hermiticity
+    found = _stack_violations(mats)
+    assert found == [density_violations(m) for m in mats]
+    assert [len(v) for v in found] == [0, 2, 1, 1, 1, 1]
 
 
 def test_rank_detection():

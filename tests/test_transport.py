@@ -19,6 +19,7 @@ from mixedqgt import (
     connection,
     fidelity,
     gauge_conjugation_check,
+    gauge_curvature,
     holonomy,
     holonomy_report_json,
     horizontal_lift,
@@ -180,9 +181,8 @@ def test_holonomy_report_schema():
 
 @pytest.mark.parametrize("spectrum", [(0.6, 0.4), (0.5, 0.3, 0.2)])
 def test_lift_and_holonomy_share_one_product(spectrum):
-    # the loop starts at a diagonal state whose start alignment u0 comes out
-    # exactly the identity, so both paths multiply the same factors in the
-    # same order and must agree bit for bit
+    # the holonomy unitary is the map the lift makes around the loop on the
+    # same grid: its start amplitudes, moved by U, are its end amplitudes
     n = len(spectrum)
     rng = np.random.default_rng(13)
     h0, h1 = rand_herm(rng, n), rand_herm(rng, n)
@@ -194,11 +194,9 @@ def test_lift_and_holonomy_share_one_product(spectrum):
 
     steps = 128
     lift = horizontal_lift(reference_lift(loop, np.linspace(0.0, 1.0, steps + 1)))
-    u0 = lift.transport_unitaries[0]
-    assert np.array_equal(u0, np.eye(n))
     result = holonomy(loop, steps=steps, convergence_check=False)
     assert result.steps == steps
-    assert np.array_equal(lift.transport_unitaries[-1] @ u0.conj().T, result.unitary)
+    assert np.max(np.abs(lift.amplitudes[0] @ result.unitary.T - lift.amplitudes[-1])) < 1e-14
 
 
 @settings(max_examples=25)
@@ -210,6 +208,63 @@ def test_start_gauge_conjugates_holonomy_property(n, seed):
                                      convergence_check=False)
     assert report.unitary_residual < 1e-10
     assert report.mean_residual < 1e-10
+
+
+# --- the transport against independent references -----------------------------
+
+def _polar_transport_mean(curve, steps, w0):
+    """Mean holonomy <psi_0|psi_K> of the discrete Uhlmann transport over
+    ``steps`` equal steps of [0, 1], written in numpy alone, one step at a
+    time: each step moves the amplitudes W to sqrt(rho') polar(sqrt(rho') W),
+    the purification of the next state whose overlap W^dag W' is positive."""
+    w = w0
+    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
+        p, v = np.linalg.eigh(curve(t).mat)
+        root = (v * np.sqrt(p)) @ v.conj().T
+        u, _, vh = np.linalg.svd(root @ w)
+        w = root @ u @ vh
+    return np.vdot(w0, w)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(32, 256))
+def test_holonomy_mean_is_the_lift_overlap_property(n, seed, steps):
+    curve = unitary_orbit_curve(np.random.default_rng(seed), n)
+    start = purify(curve(0.0))
+    result = holonomy(curve, psi_start=start, steps=steps, convergence_check=False)
+    lift = horizontal_lift(reference_lift(curve, np.linspace(0.0, 1.0, result.steps + 1)), start)
+    assert abs(result.mean_holonomy - np.vdot(lift.amplitudes[0], lift.amplitudes[-1])) < 1e-12
+
+
+@settings(max_examples=10)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(48, 128))
+def test_holonomy_mean_converges_to_the_polar_transport_property(n, seed, steps):
+    # both integrate the same transport at second order: their gap is O(dt^2),
+    # so it falls by about 4 when the step count doubles
+    curve = unitary_orbit_curve(np.random.default_rng(seed), n)
+    start = purify(curve(0.0))
+    coarse = holonomy(curve, psi_start=start, steps=steps, convergence_check=False)
+    fine = holonomy(curve, psi_start=start, steps=2 * coarse.steps, convergence_check=False)
+    coarse_gap, fine_gap = (
+        abs(r.mean_holonomy - _polar_transport_mean(curve, r.steps, start.amplitude_matrix))
+        for r in (coarse, fine))
+    assert fine_gap <= 0.3 * coarse_gap + 1e-12
+
+
+@pytest.mark.parametrize("point", [(0.9, 0.4), (1.3, 2.0), (0.6, 5.0)])
+@pytest.mark.parametrize("half", [1e-3, 5e-4])
+def test_small_plaquette_holonomy_is_the_gauge_curvature(point, half):
+    # around a small square of area a the holonomy is exp(-i T_{theta phi} a)
+    # to first order in a; the spectrum of T is +-lambda, so the sense of
+    # the loop does not matter
+    model = BlochQubitModel(r=0.9)
+    (theta, phi), h = point, half
+    square = [[theta - h, phi - h], [theta + h, phi - h], [theta + h, phi + h],
+              [theta - h, phi + h], [theta - h, phi - h]]
+    u = holonomy(ChartLoop(model, square), steps=64, convergence_check=False).unitary
+    spectrum = np.sort(-np.angle(np.linalg.eigvals(u))) / (2 * h) ** 2
+    t_field = gauge_curvature(model.connection_field(), point).blocks[0, 1]
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(t_field))) < 1e-6
 
 
 # --- stacked, chunked transport ----------------------------------------------
