@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -261,6 +260,7 @@ def _cmd_field(args):
     tasks = [(model, scheme, h, points[s]) for s in chunks(len(points), dim)]
     workers = min(args.workers or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_field_chunk, tasks,
                                    chunksize=max(1, len(tasks) // (4 * workers))))

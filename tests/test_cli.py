@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import shutil
@@ -331,13 +332,21 @@ def test_field_pool_is_sized_by_chunks_and_cpus(tmp_path, monkeypatch):
             return map(fn, tasks)
 
     serial = _field_bytes(tmp_path, "serial.csv", *FIELD_GRID)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # 63 points: 9 chunks
     assert _field_bytes(tmp_path, "many.csv", *FIELD_GRID, "--workers", "1000") == serial
     monkeypatch.setattr(states, "CHUNK_ENTRIES", 40 * 2 * 2)  # 2 chunks
     assert _field_bytes(tmp_path, "two.csv", *FIELD_GRID, "--workers", "1000") == serial
     assert sizes == [3, 2]
+
+
+def test_serial_field_does_not_load_the_process_pool(tmp_path):
+    code = ("import sys; from mixedqgt import cli; "
+            f"cli.main(['field', *{FIELD_GRID!r}, '--output', {str(tmp_path / 'f.csv')!r}]); "
+            "print('concurrent.futures.process' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
 
 def test_field_worker_processes_write_the_serial_bytes(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,14 +284,28 @@ def _transport_results(curve, steps):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_transport_does_not_depend_on_chunk_size(monkeypatch, n):
+# 60 steps: the grid spacings differ in their last bits; 61 (prime) leaves a
+# short last block in the prefix scan and 64 (a square) none
+@pytest.mark.parametrize("steps", [60, 61, 64])
+def test_transport_does_not_depend_on_chunk_size(monkeypatch, n, steps):
     curve = _bloch_loop() if n == 2 else unitary_orbit_curve(np.random.default_rng(14), n)
-    # 60 steps: the grid spacings differ in their last bits
-    default = _transport_results(curve, 60)
+    default = _transport_results(curve, steps)
     for nodes in (1, 7):
         monkeypatch.setattr(states, "CHUNK_ENTRIES", nodes * n * n)
-        chunked = _transport_results(curve, 60)
+        chunked = _transport_results(curve, steps)
         assert all(np.array_equal(a, b) for a, b in zip(chunked, default))
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.sampled_from([1, 2, 3, 15, 16, 17]) | st.integers(1, 300))
+def test_prefix_scan_matches_the_step_order_product_property(n, seed, k):
+    rng = np.random.default_rng(seed)
+    stack = np.array([rand_unitary(rng, n) for _ in range(k + 1)])
+    expected = np.array(list(accumulate(stack, np.matmul)))  # in step order
+    scanned = transport._prefix_products(stack.copy())
+    assert np.array_equal(scanned[0], stack[0])
+    assert np.max(np.abs(scanned - expected)) <= 64 * k * np.finfo(float).eps
 
 
 def test_half_grid_estimate_matches_a_fresh_half_run():
