@@ -14,6 +14,7 @@ domain violations).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -80,20 +81,28 @@ class _UsageError(ValueError):
     pass
 
 
-def _emit(text, output):
-    """Write ``text``, one string or a list of strings in order, to stdout or
-    to the file ``output``."""
-    parts = [text] if isinstance(text, str) else text
+def _opened(output):
+    """stdout, or the file ``output`` opened for writing, as a context manager."""
     if output in (None, "-"):
-        sys.stdout.writelines(parts)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8")
 
 
-def _csv_text(columns, rows):
-    line = ",".join(["%.17g"] * len(columns))
-    return "\n".join([",".join(columns), *(line % tuple(row) for row in rows)]) + "\n"
+def _emit(text, output):
+    """Write the string ``text`` to stdout or to the file ``output``."""
+    with _opened(output) as fh:
+        fh.write(text)
+
+
+def _write_csv(columns, blocks, output):
+    """Write the CSV header, then the rows of each 2-D float block as ``%.17g``,
+    to stdout or to the file ``output``.  Callers compute every block first, so
+    a failure writes nothing; then one row at a time is formatted and written."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _opened(output) as fh:
+        fh.write(",".join(columns) + "\n")
+        for block in blocks:
+            fh.writelines(line % tuple(row.tolist()) for row in block)
 
 
 def _finite(text):
@@ -244,9 +253,9 @@ def _field_chunk(task):
 
 
 def _pair_columns(labels):
-    pairs = list(zip(*np.triu_indices(len(labels))))
-    return ([f"re_Q_{labels[a]}_{labels[b]}" for a, b in pairs]
-            + [f"im_Q_{labels[a]}_{labels[b]}" for a, b in pairs]), pairs
+    upper = np.triu_indices(len(labels))
+    names = [f"{labels[a]}_{labels[b]}" for a, b in zip(*upper)]
+    return [f"re_Q_{n}" for n in names] + [f"im_Q_{n}" for n in names], upper
 
 
 def _cmd_field(args):
@@ -266,16 +275,15 @@ def _cmd_field(args):
                                    chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         blocks = [_field_chunk(t) for t in tasks]
-    rows = np.concatenate(blocks).tolist()
     labels = model.param_labels
     columns = list(labels) + _pair_columns(labels)[0] + ["sym_residual", "antisym_residual"]
     fmt = args.format or "csv"
     if fmt == "csv":
-        _emit(_csv_text(columns, rows), args.output)
+        _write_csv(columns, blocks, args.output)
     else:
         scheme_text = "analytic" if scheme == "analytic" else f"central:{h:g}"
-        _emit(json.dumps({"model": model.name, "scheme": scheme_text,
-                          "columns": columns, "rows": rows}) + "\n", args.output)
+        _emit(json.dumps({"model": model.name, "scheme": scheme_text, "columns": columns,
+                          "rows": np.concatenate(blocks).tolist()}) + "\n", args.output)
     return EXIT_OK
 
 
@@ -330,19 +338,16 @@ def _cmd_geodesic(args):
         if qubit:
             columns += ["bloch_x", "bloch_y", "bloch_z"]
         columns += ["fidelity_to_a", "fidelity_to_b", "ode_residual"]
-        # each chunk's rows are formatted on their own, and the texts written
-        # in order, so the rows of one chunk at a time exist as Python floats
-        texts = []
+        # one table filled in place, so chunk temporaries do not fragment the heap
+        table = np.empty((samples, len(columns)))
         for s in chunks(samples, dim):
             w, rho = geodesic_points(sol, ts[s])
             flat = rho.reshape(len(rho), -1)
-            block = np.column_stack([
+            table[s] = np.column_stack([
                 ts[s], flat.real, flat.imag, *([bloch_vector(rho)] if qubit else []),
                 root_fidelity(w, sol.psi0.amplitude_matrix), root_fidelity(w, rho_b.root),
                 ode_residuals(sol, ts[s], 1e-3)])
-            text = _csv_text(columns, block.tolist())
-            texts.append(text if not texts else text.partition("\n")[2])  # one header
-        _emit(texts, args.output)
+        _write_csv(columns, [table], args.output)
     return EXIT_OK
 
 
@@ -407,20 +412,15 @@ def _cmd_limit_sweep(args):
     point = _parse_point(args.point, model.param_labels)
     result = thermal_limit_sweep(model, point, betas)
 
-    q_columns, pairs = _pair_columns(model.param_labels)
+    q_columns, upper = _pair_columns(model.param_labels)
     devs = result.deviations
     tail_monotone = all(b < a for a, b in zip(devs, devs[1:]))
     fmt = args.format or "csv"
     if fmt == "csv":
         columns = ["beta", *q_columns, "deviation_from_pure", "tail_monotone"]
-        rows = []
-        for entry in result.entries:
-            row = [entry.beta]
-            row.extend(entry.tensor.entries[a, b].real for a, b in pairs)
-            row.extend(entry.tensor.entries[a, b].imag for a, b in pairs)
-            row.extend([entry.deviation, float(tail_monotone)])
-            rows.append(row)
-        _emit(_csv_text(columns, rows), args.output)
+        rows = [[e.beta, *e.tensor.entries[upper].real, *e.tensor.entries[upper].imag,
+                 e.deviation, float(tail_monotone)] for e in result.entries]
+        _write_csv(columns, [np.array(rows)], args.output)
     else:
         _emit(json.dumps({
             "betas": result.betas,

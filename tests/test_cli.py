@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import defaultdict
 
@@ -13,6 +14,7 @@ import pytest
 from mixedqgt import (BlochQubitModel, GridModel, density_violations, export_grid_model,
                       geodesic_point, load_grid_model, matrix_to_json, solve_geodesic)
 from mixedqgt import cli, states
+from mixedqgt.errors import RankDeficientError
 from mixedqgt.geodesics import bloch_vector, ode_residual
 from conftest import counted
 
@@ -368,6 +370,28 @@ def test_field_failure_names_the_first_failing_point(tmp_path, monkeypatch, caps
     assert messages[0].startswith("error: at grid point [0.5, 6.2831853]: phi = ")
 
 
+def test_field_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch, capsys):
+    # every chunk is computed before the output is opened
+    real = cli._field_chunk
+    calls = []
+
+    def second_chunk_fails(task):
+        calls.append(len(task[-1]))
+        if len(calls) == 2:
+            raise RankDeficientError("rank floor at the second chunk")
+        return real(task)
+
+    monkeypatch.setattr(cli, "_field_chunk", second_chunk_fails)
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # 63 points: 9 chunks
+    out = tmp_path / "f.csv"
+    for fmt in ("csv", "json"):
+        for target in (["--output", str(out)], []):
+            calls.clear()
+            assert cli.main(["field", *FIELD_GRID, "--format", fmt, *target]) == 4
+            assert capsys.readouterr() == ("", "error: rank floor at the second chunk\n")
+            assert len(calls) == 2 and not out.exists()
+
+
 def test_field_rank_deficient_family_exits_4_naming_the_point():
     r = run_cli("field", "--model", "bloch", "--set", "r=1",
                 "--grid", "theta:0.3:2.8:4", "--grid", "phi:0:6:3")
@@ -566,10 +590,8 @@ def test_geodesic_csv_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, ca
         assert out.read_text(encoding="utf-8") == default
 
 
-def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkeypatch):
-    # only the two endpoints are decomposed; the samples rho = W W^dag are
-    # not checked again, and each chunk gets one svd per fidelity column,
-    # next to the one svd of the geodesic's construction
+def _state_files(tmp_path):
+    """Files of two full-rank 4 x 4 states: a a^dag + 0.1 I, normalized."""
     rng = np.random.default_rng(31)
     paths = []
     for name in "ab":
@@ -577,6 +599,14 @@ def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkey
         m = a @ a.conj().T + 0.1 * np.eye(4)
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(matrix_to_json(m / np.trace(m).real)))
+    return paths
+
+
+def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkeypatch):
+    # only the two endpoints are decomposed; the samples rho = W W^dag are
+    # not checked again, and each chunk gets one svd per fidelity column,
+    # next to the one svd of the geodesic's construction
+    paths = _state_files(tmp_path)
     for samples in (21, 2001):
         calls = defaultdict(int)
         with monkeypatch.context() as patch:
@@ -589,6 +619,45 @@ def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkey
         # eigvalsh is counted too, and is never called
         assert calls == {"eigh": 2, "svd": 1 + 2 * len(states.chunks(samples, 4))}
     assert len(states.chunks(2001, 4)) == 2
+
+
+def test_geodesic_csv_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch, capsys):
+    real = cli.geodesic_points
+    calls = []
+
+    def second_chunk_fails(sol, times):
+        calls.append(len(times))
+        w, rho = real(sol, times)
+        if len(calls) == 2:
+            states.check_norm_stack(1.01 * w)  # the norm check refuses this chunk
+        return w, rho
+
+    monkeypatch.setattr(cli, "geodesic_points", second_chunk_fails)
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # 21 samples: 3 chunks
+    out = tmp_path / "geo.csv"
+    args = ["geodesic", "--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS,
+            "--samples", "21", "--format", "csv"]
+    for target in (["--output", str(out)], []):
+        calls.clear()
+        assert cli.main([*args, *target]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("error: norm^2 differs from 1 by ")
+        assert calls == [7, 7] and not out.exists()
+
+
+def test_geodesic_csv_text_is_never_held_whole(tmp_path):
+    # 16,001 samples of N = 4 states: a 4.6 MB float table and 11 MB of text,
+    # so a peak below the file's size means the text was never held whole
+    paths = _state_files(tmp_path)
+    out = tmp_path / "geo.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
+                         "--samples", "16001", "--format", "csv", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
