@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 
@@ -46,11 +47,11 @@ from .states import (
 )
 from .qgt import msqgt_field, qgt_to_json, thermal_limit_sweep
 from .geodesics import (
+    _ode_residuals,
     bloch_ellipse_check,
     bloch_vector,
     geodesic_points,
     geodesic_samples,
-    ode_residuals,
     path_length,
     solve_geodesic,
 )
@@ -94,15 +95,34 @@ def _emit(text, output):
         fh.write(text)
 
 
-def _write_csv(columns, blocks, output):
-    """Write the CSV header, then the rows of each 2-D float block as ``%.17g``,
-    to stdout or to the file ``output``.  Callers compute every block first, so
-    a failure writes nothing; then one row at a time is formatted and written."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+def _write_csv(columns, blocks, output, line=None):
+    """Write the CSV header, then ``line(values)`` of each row of the 2-D float blocks
+    (default: each value ``%.17g``); all blocks come computed, so a failure writes nothing."""
+    line = line or (",".join(["%.17g"] * len(columns)) + "\n").__mod__
     with _opened(output) as fh:
         fh.write(",".join(columns) + "\n")
         for block in blocks:
-            fh.writelines(line % tuple(row.tolist()) for row in block)
+            fh.writelines(line(tuple(row.tolist())) for row in block)
+
+
+def _hermitian_line(dim, width):
+    """Line formatter for geodesic rows of t, rho's upper triangle (re, then im)
+    and the trailing columns, each formatted ``%.17g`` once: the lower triangle is
+    the mirror, im sign-flipped as text, so the rho written is exactly Hermitian."""
+    upper, strict = np.triu_indices(dim), np.triu_indices(dim, 1)
+    re = np.zeros((dim, dim), dtype=int)
+    re[upper] = 1 + np.arange(len(upper[0]))
+    im = re + len(upper[0])
+    im.T[strict] = width + np.arange(len(strict[0]))  # flipped copies follow the fields
+    negate = im[strict].tolist()
+    order = operator.itemgetter(0, *np.maximum(re, re.T).ravel().tolist(), *im.ravel().tolist(),
+                                *range(1 + 2 * len(upper[0]), width))
+    template = ",".join(["%.17g"] * width) + "\n"  # the last field, a trailing one, ends the line
+    def line(values):
+        fields = (template % values).split(",")
+        fields += [f[1:] if f[0] == "-" else "-" + f for f in map(fields.__getitem__, negate)]
+        return ",".join(order(fields))
+    return line
 
 
 def _finite(text):
@@ -282,8 +302,12 @@ def _cmd_field(args):
         _write_csv(columns, blocks, args.output)
     else:
         scheme_text = "analytic" if scheme == "analytic" else f"central:{h:g}"
-        _emit(json.dumps({"model": model.name, "scheme": scheme_text, "columns": columns,
-                          "rows": np.concatenate(blocks).tolist()}) + "\n", args.output)
+        rows = (json.dumps(block.tolist())[1:-1] for block in blocks)  # C encoder, block by block
+        with _opened(args.output) as fh:  # the head, up to the rows' "[", then the rows
+            fh.write(json.dumps({"model": model.name, "scheme": scheme_text, "columns": columns,
+                                 "rows": []})[:-2] + next(rows))
+            fh.writelines(", " + text for text in rows)
+            fh.write("]}\n")
     return EXIT_OK
 
 
@@ -332,22 +356,20 @@ def _cmd_geodesic(args):
         _emit(json.dumps(report) + "\n", args.output)
     else:
         dim = rho_a.dim
-        columns = ["t"]
-        columns += [f"re_rho_{i}_{j}" for i in range(dim) for j in range(dim)]
-        columns += [f"im_rho_{i}_{j}" for i in range(dim) for j in range(dim)]
-        if qubit:
-            columns += ["bloch_x", "bloch_y", "bloch_z"]
-        columns += ["fidelity_to_a", "fidelity_to_b", "ode_residual"]
-        # one table filled in place, so chunk temporaries do not fragment the heap
-        table = np.empty((samples, len(columns)))
+        cells = [f"rho_{i}_{j}" for i in range(dim) for j in range(dim)]
+        columns = ["t", *(f"re_{c}" for c in cells), *(f"im_{c}" for c in cells),
+                   *(["bloch_x", "bloch_y", "bloch_z"] if qubit else []),
+                   "fidelity_to_a", "fidelity_to_b", "ode_residual"]
+        # one table filled in place (no heap fragmentation), of rho's upper triangle only
+        table = np.empty((samples, len(columns) - dim * (dim - 1)))
         for s in chunks(samples, dim):
             w, rho = geodesic_points(sol, ts[s])
-            flat = rho.reshape(len(rho), -1)
+            triangle = rho[:, np.tri(dim, dtype=bool).T]  # row by row, as triu_indices
             table[s] = np.column_stack([
-                ts[s], flat.real, flat.imag, *([bloch_vector(rho)] if qubit else []),
+                ts[s], triangle.real, triangle.imag, *([bloch_vector(rho)] if qubit else []),
                 root_fidelity(w, sol.psi0.amplitude_matrix), root_fidelity(w, rho_b.root),
-                ode_residuals(sol, ts[s], 1e-3)])
-        _write_csv(columns, [table], args.output)
+                _ode_residuals(sol, ts[s], 1e-3, w)])
+        _write_csv(columns, [table], args.output, _hermitian_line(dim, table.shape[1]))
     return EXIT_OK
 
 

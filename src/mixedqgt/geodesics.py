@@ -189,12 +189,15 @@ def geodesic_samples(sol, times):
 
 
 def ode_residuals(sol, times, h):
-    """Norms of psi'' + psi at the given times, with psi'' the second
-    difference of step h."""
-    t = np.asarray(times, dtype=float)
-    psi, plus, minus = (geodesic_amplitudes(sol, x) for x in (t, t + h, t - h))
+    """Norms of psi'' + psi at the given times, psi'' the second difference of step h."""
+    return _ode_residuals(sol, times, h, geodesic_amplitudes(sol, times))
+
+
+def _ode_residuals(sol, times, h, psi):
+    """``ode_residuals`` given psi = W(times): only the stacks at times +- h are built."""
+    plus, minus = (geodesic_amplitudes(sol, np.asarray(times, dtype=float) + x) for x in (h, -h))
     accel = (plus - 2 * psi + minus) / h ** 2 + psi
-    return np.linalg.norm(accel.reshape(t.size, -1), axis=-1)
+    return np.linalg.norm(accel.reshape(len(psi), -1), axis=-1)
 
 
 def ode_residual(sol, t, h):

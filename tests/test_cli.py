@@ -1,21 +1,25 @@
 import concurrent.futures
 import csv
 import json
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mixedqgt import (BlochQubitModel, GridModel, density_violations, export_grid_model,
-                      geodesic_point, load_grid_model, matrix_to_json, solve_geodesic)
+from mixedqgt import (BlochQubitModel, DensityMatrix, GridModel, density_violations,
+                      export_grid_model, geodesic_point, load_grid_model, load_matrix,
+                      matrix_to_json, solve_geodesic)
 from mixedqgt import cli, states
 from mixedqgt.errors import RankDeficientError
-from mixedqgt.geodesics import bloch_vector, ode_residual
+from mixedqgt.geodesics import bloch_vector, geodesic_points, ode_residual
 from conftest import counted
 
 CLI = shutil.which("mixedqgt")
@@ -578,28 +582,65 @@ def test_geodesic_csv_skips_the_unreported_length_and_ellipse(tmp_path, monkeypa
 
 
 def test_geodesic_csv_rows_do_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys):
-    args = ["geodesic", "--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS,
-            "--samples", "21", "--format", "csv"]
-    assert cli.main(args) == 0
-    default = capsys.readouterr().out
-    assert default.count("\n") == 22 and default.count("bloch_x") == 1
-    for size in (1, 7):
-        monkeypatch.setattr(states, "CHUNK_ENTRIES", size * 2 * 2)  # samples per chunk for N = 2
-        out = tmp_path / f"chunk{size}.csv"
-        assert cli.main([*args, "--output", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == default
+    # the N = 5 pair checks the mirrored lower triangle across chunk boundaries
+    five = _state_files(tmp_path, dim=5)
+    for dim, pair in ((2, ["--model", "bloch", "--set", "r=0.9", *GEODESIC_POINTS]),
+                      (5, ["--state-a", str(five[0]), "--state-b", str(five[1])])):
+        args = ["geodesic", *pair, "--samples", "21", "--format", "csv"]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out
+        assert default.count("\n") == 22 and default.count("bloch_x") == (dim == 2)
+        for size in (1, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(states, "CHUNK_ENTRIES", size * dim * dim)  # samples per chunk
+                out = tmp_path / f"n{dim}_chunk{size}.csv"
+                assert cli.main([*args, "--output", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == default
 
 
-def _state_files(tmp_path):
-    """Files of two full-rank 4 x 4 states: a a^dag + 0.1 I, normalized."""
-    rng = np.random.default_rng(31)
+def _state_files(tmp_path, dim=4, seed=31):
+    """Files of two full-rank dim x dim states: a a^dag + 0.1 I, normalized."""
+    rng = np.random.default_rng(seed)
     paths = []
     for name in "ab":
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = a @ a.conj().T + 0.1 * np.eye(4)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a @ a.conj().T + 0.1 * np.eye(dim)
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(matrix_to_json(m / np.trace(m).real)))
     return paths
+
+
+@settings(max_examples=25)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, seed=0)
+@example(dim=3, seed=0)
+@example(dim=5, seed=0)
+def test_geodesic_csv_writes_the_upper_triangle_and_its_mirror(dim, seed):
+    # numpy's W W^dag is not always bit-Hermitian (at N = 2, 3, 5 and 6): the
+    # lower triangle is written as the upper's mirror, within 1e-16 of the
+    # product's own; N = 1 has no geodesic, as every 1 x 1 state is [[1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _state_files(pathlib.Path(tmp), dim, seed)
+        out = pathlib.Path(tmp) / "geo.csv"
+        assert cli.main(["geodesic", "--state-a", str(paths[0]), "--state-b", str(paths[1]),
+                         "--samples", "7", "--format", "csv", "--output", str(out)]) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        sol = solve_geodesic(*(DensityMatrix(load_matrix(p)) for p in paths))
+    ts = np.linspace(0.0, sol.theta, 7)
+    _, rho = geodesic_points(sol, ts)
+    assert len(header) == 1 + 2 * dim * dim + 3 * (dim == 2) + 3 and len(rows) == 7
+    for t, fields, r in zip(ts, rows, rho):
+        row = dict(zip(header, fields))
+        assert row["t"] == "%.17g" % t
+        for i, j in zip(*np.triu_indices(dim)):
+            # upper and diagonal fields are rho's own; lower ones its mirror,
+            # im negated ("0" and "-0" swap)
+            assert row[f"re_rho_{i}_{j}"] == "%.17g" % r[i, j].real == row[f"re_rho_{j}_{i}"]
+            assert row[f"im_rho_{i}_{j}"] == "%.17g" % r[i, j].imag
+            if i < j:
+                assert row[f"im_rho_{j}_{i}"] == "%.17g" % -r[i, j].imag
+                flipped = complex(float(row[f"re_rho_{j}_{i}"]), float(row[f"im_rho_{j}_{i}"]))
+                assert abs(flipped - r[j, i]) <= 1e-16
 
 
 def test_geodesic_csv_linalg_calls_grow_with_chunks_not_samples(tmp_path, monkeypatch):
@@ -658,6 +699,26 @@ def test_geodesic_csv_text_is_never_held_whole(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size
+
+
+def test_field_json_rows_are_never_held_whole(tmp_path, monkeypatch):
+    # 14,641 points in chunks of 256: a 1.2 MB float table and 3.0 MB of JSON,
+    # so a peak below the file's size means neither the row lists nor the text
+    # of the whole table were held at once
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 256 * 2 * 2)
+    out = tmp_path / "field.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["field", "--grid", "theta:0.3:2.8:121", "--grid", "phi:0:6:121",
+                         "--format", "json", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+    # the blocks join into the one-shot encoder's text
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert len(doc["rows"]) == 121 * 121 and text == json.dumps(doc) + "\n"
 
 
 def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
