@@ -25,7 +25,7 @@ from .errors import (
     NotUnitaryError,
     RankDeficientError,
 )
-from .states import RANK_TOL, DensityStack, Purification, check_norm_stack, schmidt
+from .states import RANK_TOL, DensityStack, Purification, _matmul, check_norm_stack, schmidt
 
 DEFAULT_FD_STEP = 1e-5
 HERMITICITY_TOL = 1e-10
@@ -109,8 +109,8 @@ def lyapunov_superop(sigma, o):
     q = sigma.eigenvalues
     basis = sigma.eigenvectors
     dag = basis.conj().swapaxes(-1, -2)
-    x_tilde = (dag @ np.asarray(o, dtype=complex) @ basis) / (q[..., :, None] + q[..., None, :])
-    return basis @ x_tilde @ dag
+    x_tilde = _matmul(_matmul(dag, np.asarray(o, dtype=complex)), basis)
+    return _matmul(_matmul(basis, x_tilde / (q[..., :, None] + q[..., None, :])), dag)
 
 
 def _tangent_matrix(dpsi, psi):
@@ -135,8 +135,8 @@ def connection(psi, dpsi):
     else:
         w, d = check_norm_stack(np.asarray(psi, dtype=complex)), np.asarray(dpsi, dtype=complex)
     w_dag = w.conj().swapaxes(-1, -2)
-    rho_env = DensityStack((w_dag @ w).swapaxes(-1, -2))
-    m = w_dag @ d
+    rho_env = DensityStack(_matmul(w_dag, w).swapaxes(-1, -2))
+    m = _matmul(w_dag, d)
     # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
     o = (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
     return EnvOperator(-1j * lyapunov_superop(rho_env, o))

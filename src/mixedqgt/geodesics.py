@@ -237,8 +237,9 @@ def verify_geodesic_ode(sol, times, fd_step=1e-3):
     accel = speed = conn = 0.0
     for s in chunks(times.size, sol.psi0.sys_dim):
         t = times[s]
-        a, horiz = _horizontal(geodesic_amplitudes(sol, t), geodesic_velocities(sol, t))
-        accel = max(accel, float(ode_residuals(sol, t, fd_step).max()))
+        w = geodesic_amplitudes(sol, t)
+        a, horiz = _horizontal(w, geodesic_velocities(sol, t))
+        accel = max(accel, float(_ode_residuals(sol, t, fd_step, w).max()))
         speed = max(speed, float(np.abs(_sq_norms(horiz) - 1.0).max()))
         conn = max(conn, float(np.abs(a).max()))
     return GeodesicODEReport(accel, speed, conn)

@@ -25,6 +25,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from . import states
 from .states import (DensityMatrix, Purification, _by_item, check_density_stack, chunks,
                      complex_matrix, fix_phase, purify)
 from .bundle import TangentVector, connection
@@ -388,7 +389,7 @@ class ThermalModel(ModelFamily):
     def _spectrum(self, point):
         h = _check_hermitian(self.hamiltonian(np.asarray(point, dtype=float)),
                              "Hamiltonian")
-        energies, vecs = np.linalg.eigh(h)
+        energies, vecs = states._eigh(h)
         return energies - energies[0], vecs
 
     def matrix_at(self, point):

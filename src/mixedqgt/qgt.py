@@ -9,8 +9,8 @@ The tensor Q_{nu mu} is computed along two independent routes:
   working directly on the density matrix.
 
 Re Q is the Bures metric, Im Q the mean-gauge-curvature part.  The two
-routes share no code below the eigendecomposition, on purpose: their
-agreement is a correctness check and must stay falsifiable.
+routes share nothing but the ``states`` eigendecomposition and 2 x 2 product,
+on purpose: their agreement is a correctness check and must stay falsifiable.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,8 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .states import RANK_TOL, check_density_stack
+from . import states
+from .states import RANK_TOL, _matmul, check_density_stack
 from .bundle import EnvOperator, _tangent_matrix, connection, env_action, env_expectation
 from .models import DEFAULT_FD_STEP, derivative_stack, derivatives
 
@@ -102,7 +103,7 @@ def check_tensor_stack(q):
         if not resid.max() <= STRUCTURE_TOL:
             k = (~(resid <= STRUCTURE_TOL)).argmax()
             raise ValidationError(f"{part}: residual {resid[k]:.3e} > {STRUCTURE_TOL:.1e}")
-    min_eig = np.linalg.eigvalsh(0.5 * (re + re_t)).min(axis=-1)
+    min_eig = states._eigvalsh(0.5 * (re + re_t)).min(axis=-1)
     if not min_eig.min() >= -METRIC_PSD_TOL:
         k = (~(min_eig >= -METRIC_PSD_TOL)).argmax()
         raise ValidationError(f"metric has negative eigenvalue {min_eig[k]:.3e}")
@@ -122,7 +123,7 @@ def spectral_qgt_stack(p, basis, drho):
             f" {asym.flat[k]:.3e} > {STRUCTURE_TOL:.1e}"
         )
     weights = p[:, :, None] / (p[:, :, None] + p[:, None, :]) ** 2
-    m = basis.conj().swapaxes(-1, -2)[:, None] @ drho @ basis[:, None]
+    m = _matmul(_matmul(basis.conj().swapaxes(-1, -2)[:, None], drho), basis[:, None])
     terms = weights[:, None, None] * m[:, :, None] * m.swapaxes(-1, -2)[:, None, :]
     return terms.sum(axis=(-2, -1))
 

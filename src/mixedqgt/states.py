@@ -7,7 +7,9 @@ angle and distance.  Everything downstream consumes these types.
 There is one spectral path: ``DensityStack`` checks and decomposes a stack
 of matrices, and ``DensityMatrix`` is its one-matrix case.  The
 decomposition and the root V sqrt(p) are cached on the object, so
-purification and fidelity decompose nothing again.
+purification and fidelity decompose nothing again.  All Hermitian spectra
+come from ``_eigh``/``_eigvalsh`` and 2 x 2 products from ``_matmul``: closed
+forms for N = 2 (rounding apart from LAPACK/BLAS), numpy for any other N.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -81,6 +83,60 @@ def fix_phase(vec):
     return vec * _phase_factors(vec[:, None])[0]
 
 
+def _eigh(h):
+    """``np.linalg.eigh`` of a (..., N, N) Hermitian stack, in closed form for N = 2."""
+    out = _eigh2(h, vectors=True) if h.shape[-1] == 2 else None
+    return np.linalg.eigh(h) if out is None else out
+
+
+def _eigvalsh(h):
+    """``np.linalg.eigvalsh`` of a (..., N, N) Hermitian stack, in closed form for N = 2."""
+    out = _eigh2(h, vectors=False) if h.shape[-1] == 2 else None
+    return np.linalg.eigvalsh(h) if out is None else out
+
+
+def _eigh2(h, vectors):
+    """Closed-form ``_eigh`` (or, without ``vectors``, ``_eigvalsh``) of a
+    (..., 2, 2) stack, read as LAPACK reads it (lower triangle, real diagonal):
+    eigenvalues mean -+ r, r = hypot(half, |c|).  The larger eigenvector solves
+    the better-conditioned row of H - lambda I, scaled by a power of two, and
+    the smaller is (-conj v1, conj v0); r = 0 gives the identity.  None if an
+    eigenvalue is not finite (non-finite entries, overflow): LAPACK then decides."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, d, c = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+        half, mean = 0.5 * a - 0.5 * d, 0.5 * a + 0.5 * d
+        r = np.hypot(half, np.abs(c))
+        vals = np.stack([mean - r, mean + r], axis=-1)
+    if not np.isfinite(vals).all():
+        return None
+    if not vectors:
+        return vals
+    zero, up = r == 0, half >= 0  # up: row (c, -half - r), else (half - r, conj c)
+    e = -np.frexp(r)[1]  # exact scaling by 2^e to about 1: no overflow, no subnormals
+    x = np.ldexp(np.abs(half), e) + np.ldexp(r, e)
+    yr, yi = np.ldexp(c.real, e), np.ldexp(c.imag, e)
+    norm = np.where(zero, 1.0, np.hypot(x, np.hypot(yr, yi)))
+    x, y = x / norm, yr / norm + 1j * (yi / norm)
+    v0, v1 = np.where(up, x, y.conj()), np.where(up, y, x)
+    vecs = np.stack([-v1.conj(), v0, v0.conj(), v1], axis=-1).reshape(*v0.shape, 2, 2)
+    return vals, np.where(zero[..., None, None], np.eye(2), vecs)
+
+
+def _matmul(a, b, out=None):
+    """``np.matmul(a, b, out=out)``; (..., 2, 2) stacks multiply by the entry
+    formulas, all read before ``out``, which may alias ``a`` or ``b``, is written."""
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return np.matmul(a, b, out=out)
+    (a00, a01), (a10, a11) = ((a[..., i, 0], a[..., i, 1]) for i in (0, 1))
+    (b00, b01), (b10, b11) = ((b[..., i, 0], b[..., i, 1]) for i in (0, 1))
+    entries = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+               a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    if out is None:
+        out = np.empty((*entries[0].shape, 2, 2), dtype=entries[0].dtype)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
+
+
 def _lex_key(column):
     return tuple(x for z in column for x in (z.real, z.imag))
 
@@ -93,7 +149,7 @@ def sorted_eigh(mat):
     (re, im) entries.  Returns ``(eigenvalues, eigenvectors)`` with
     eigenvectors as columns.
     """
-    vals, vecs = _order_spectrum(*np.linalg.eigh(np.asarray(mat)[None]))
+    vals, vecs = _order_spectrum(*_eigh(np.asarray(mat)[None]))
     return vals[0], vecs[0]
 
 
@@ -140,13 +196,13 @@ def _density_residuals(mats, vectors=False, certified=None):
         trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
     spectrum = None
     if vectors:
-        spectrum = np.linalg.eigh(0.5 * mats + 0.5 * dag)  # halved first: no overflow
+        spectrum = _eigh(0.5 * mats + 0.5 * dag)  # halved first: no overflow
         low = spectrum[0][:, 0]
     else:
         low = np.zeros(len(mats))
         todo = np.ones(len(mats), dtype=bool) if certified is None else ~certified
         if todo.any():
-            low[todo] = np.linalg.eigvalsh(0.5 * mats[todo] + 0.5 * dag[todo])[:, 0]
+            low[todo] = _eigvalsh(0.5 * mats[todo] + 0.5 * dag[todo])[:, 0]
     return finite, herm_err, trace_err, low, spectrum
 
 

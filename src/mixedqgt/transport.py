@@ -36,8 +36,9 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
+from . import states
 from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, _by_item as _by_node,
-                     check_norm_stack, chunks, purify, root_fidelity)
+                     _matmul, check_norm_stack, chunks, purify, root_fidelity)
 from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
@@ -64,7 +65,7 @@ class LiftedCurve:
             )
         _check_times(times)
         err = np.concatenate([
-            np.abs(amps[s] @ amps[s].conj().swapaxes(-1, -2) - base[s]).max(axis=(-2, -1))
+            np.abs(_matmul(amps[s], amps[s].conj().swapaxes(-1, -2)) - base[s]).max(axis=(-2, -1))
             for s in chunks(len(amps), amps.shape[-1])])
         if not (err <= PROJECTION_TOL).all():
             k = (~(err <= PROJECTION_TOL)).argmax()
@@ -213,9 +214,9 @@ def _transport_unitaries(reference, psi_start):
         mid = 0.5 * (w0 + w1)
         mid = mid / np.linalg.norm(mid, axis=(-2, -1))[:, None, None]
         a = _by_node(connection, mid, (w1 - w0) / dt[:, None, None]).mat
-        w, vecs = np.linalg.eigh(a)
-        np.matmul(vecs * np.exp(-1j * w * dt[:, None])[:, None, :],
-                  vecs.conj().swapaxes(-1, -2), out=unitaries[1:][s])
+        w, vecs = states._eigh(a)
+        _matmul(vecs * np.exp(-1j * w * dt[:, None])[:, None, :],
+                vecs.conj().swapaxes(-1, -2), out=unitaries[1:][s])
     return _prefix_products(unitaries)
 
 
@@ -228,10 +229,10 @@ def _prefix_products(u):
     size = math.isqrt(len(u) - 1)
     for j in range(1, size):
         cur = u[1 + j::size]
-        np.matmul(u[j::size][:len(cur)], cur, out=cur)
+        _matmul(u[j::size][:len(cur)], cur, out=cur)
     for start in range(1, len(u), size):
         block = u[start:start + size]
-        np.matmul(u[start - 1], block, out=block)
+        _matmul(u[start - 1], block, out=block)
     return u
 
 

@@ -734,7 +734,7 @@ def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
     for count in (3, 11):
         calls = defaultdict(int)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+            patch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
             patch.setattr(GridModel, "matrix_at", counted(calls, "matrix_at", GridModel.matrix_at))
             assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
                              "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",

@@ -1,5 +1,6 @@
 import json
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from mixedqgt import (
     schmidt,
     sorted_eigh,
 )
-from mixedqgt.states import RANK_TOL, _phase_factors, _stack_violations, check_norm_stack
-from conftest import rand_density, rand_herm, rand_unitary
+from mixedqgt.states import (RANK_TOL, _eigh, _eigvalsh, _matmul, _order_spectrum,
+                             _phase_factors, _stack_violations, check_norm_stack)
+from conftest import counted, rand_density, rand_herm, rand_unitary
 
 
 def test_density_matrix_accepts_valid_state():
@@ -162,7 +164,8 @@ def test_sorted_eigh_degenerate_block_is_reproducible():
 
 
 def test_sorted_eigh_phases_match_fix_phase_column_by_column():
-    # the reference is fix_phase applied to each eigh column in turn; the
+    # the reference is fix_phase applied to each column of the decomposition
+    # seam's eigh (closed form for N = 2, LAPACK otherwise) in turn; the
     # near-diagonal cases have negligible leading entries (the same rounding
     # of |entry| matters, so equality is exact)
     rng = np.random.default_rng(4)
@@ -170,7 +173,7 @@ def test_sorted_eigh_phases_match_fix_phase_column_by_column():
     mats += [np.diag([0.95, 0.05]) + 1e-17 * rand_herm(rng, 2),
              np.diag([0.5, 0.3, 0.2]) + 1e-16 * rand_herm(rng, 3)]
     for m in mats:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = _eigh(m)
         reference = np.column_stack([fix_phase(vecs[:, k]) for k in range(len(vals))])[:, ::-1]
         sorted_vals, sorted_vecs = sorted_eigh(m)
         assert np.array_equal(sorted_vals, vals[::-1])
@@ -396,3 +399,104 @@ def test_fidelity_matches_the_square_root_formula_and_is_symmetric(n, seed):
     sing = np.linalg.svd(_reference_sqrt(a.mat) @ _reference_sqrt(b.mat), compute_uv=False)
     assert fidelity(a, b) == pytest.approx(min(sing.sum(), 1.0), abs=1e-14)
     assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
+
+
+EPS = np.finfo(float).eps
+
+
+def _exact_spectrum(h):
+    """Ascending eigenvalues of the Hermitian matrix that h's lower triangle
+    and real diagonal define, in 60-digit decimal arithmetic on the exact
+    floats, rounded once to float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, d, cr, ci = (Decimal(float(x)) for x in (h[0, 0].real, h[1, 1].real,
+                                                    h[1, 0].real, h[1, 0].imag))
+        half, mean = (a - d) / 2, (a + d) / 2
+        r = (half * half + cr * cr + ci * ci).sqrt()
+        return np.array([float(mean - r), float(mean + r)])
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["generic", "diagonal", "degenerate", "equal diagonal",
+                             "near-degenerate"]),
+       entries=st.tuples(*[_UNIT] * 8), tiny=st.floats(-300.0, 0.0),
+       scale=st.floats(-150.0, 150.0))
+def test_closed_form_2x2_eigh_property(kind, entries, tiny, scale):
+    # the upper triangle and the imaginary diagonal are junk that LAPACK
+    # never reads, so the closed form must not read them either
+    a, d, cr, ci, ur, ui, ai, di = entries
+    c = complex(cr, ci)
+    if kind in ("diagonal", "degenerate"):
+        c = 0.0
+    if kind in ("degenerate", "equal diagonal", "near-degenerate"):
+        d = a
+    if kind == "near-degenerate":
+        c *= 10.0 ** tiny
+    h = np.array([[complex(a, ai), complex(ur, ui)], [c, complex(d, di)]]) * 10.0 ** scale
+    herm = np.array([[h[0, 0].real, np.conj(h[1, 0])], [h[1, 0], h[1, 1].real]])
+    exact = _exact_spectrum(h)
+    norm = np.abs(exact).max()
+    tol = 4 * EPS * norm + np.finfo(float).tiny
+    vals, vecs = _eigh(h)
+    assert vals[0] <= vals[1]
+    assert np.abs(vals - exact).max() <= tol
+    assert np.array_equal(_eigvalsh(h), vals)
+    # LAPACK's own rounding reaches about 5 eps ||H|| on near-diagonal input
+    assert np.abs(vals - np.linalg.eigh(h)[0]).max() <= 2 * tol
+    assert np.abs((vecs * vals) @ vecs.conj().T - herm).max() <= tol
+    assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 4 * EPS
+    desc, fixed = (x[0] for x in _order_spectrum(vals[None], vecs[None]))
+    assert desc[0] >= desc[1] or abs(desc[0] - desc[1]) <= 1e-12
+    for col in fixed.T:
+        lead = col[(np.abs(col) > 1e-12).argmax()]
+        assert lead.real > 0 and abs(lead.imag) <= EPS
+    if abs(desc[0] - desc[1]) <= 1e-12:  # a tie: columns in lexicographic (re, im) order
+        keys = [tuple(x for z in col for x in (z.real, z.imag)) for col in fixed.T]
+        assert keys[0] <= keys[1]
+
+
+def test_closed_form_2x2_eigh_hands_non_finite_stacks_to_lapack(monkeypatch):
+    # one non-finite item, or eigenvalues past the float maximum, send the
+    # whole stack to LAPACK; any other N never takes the closed form
+    calls = {"eigh": 0, "eigvalsh": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+    good = np.array([np.diag([0.3, 0.7]), [[0.5, 0.1j], [-0.1j, 0.5]]], dtype=complex)
+    _eigh(good), _eigvalsh(good)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+    for bad in (np.nan, 1.7e308 + 1.7e308j):
+        stack = good.copy()
+        stack[1, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _ = _eigh(stack)
+            assert np.array_equal(_eigvalsh(stack), vals, equal_nan=True)
+        assert np.isnan(vals[1]).all() and np.array_equal(vals[0], [0.3, 0.7])
+    assert calls == {"eigh": 2, "eigvalsh": 2}
+    _eigh(np.eye(3)[None])
+    assert calls["eigh"] == 3
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 5), n=st.sampled_from([2, 3]),
+       broadcast=st.booleans(), scale=st.floats(-100.0, 100.0))
+def test_matmul_matches_numpy_and_survives_aliasing_property(seed, k, n, broadcast, scale):
+    rng = np.random.default_rng(seed)
+    shape = (n, n) if broadcast else (k, n, n)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** scale
+    b = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    ref = np.matmul(a, b)
+    got = _matmul(a, b)
+    if n != 2:
+        assert np.array_equal(got, ref)
+    bound = 4 * EPS * (np.abs(a) @ np.abs(b))
+    assert got.shape == ref.shape and (np.abs(got - ref) <= bound).all()
+    b_copy = b.copy()
+    assert _matmul(a, b_copy, out=b_copy) is b_copy and np.array_equal(b_copy, got)
+    if not broadcast:
+        a_copy = a.copy()
+        assert _matmul(a_copy, b, out=a_copy) is a_copy and np.array_equal(a_copy, got)

