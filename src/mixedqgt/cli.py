@@ -15,6 +15,7 @@ domain violations).
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -130,6 +131,14 @@ def _finite(text):
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
+def _margin(text):
+    """``_finite`` refusing negative values; the type of ``--pole-margin``."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {value!r}")
     return value
 
 
@@ -299,7 +308,13 @@ def _cmd_field(args):
     columns = list(labels) + _pair_columns(labels)[0] + ["sym_residual", "antisym_residual"]
     fmt = args.format or "csv"
     if fmt == "csv":
-        _write_csv(columns, blocks, args.output)
+        # rows run over the C-order product of the axes: each coordinate is
+        # formatted once, and each row's prefix joins them
+        prefixes = map("".join, itertools.product(*(["%.17g," % x for x in axis.tolist()]
+                                                     for axis in axes)))
+        template = ",".join(["%.17g"] * (len(columns) - len(axes))) + "\n"
+        _write_csv(columns, (block[:, len(axes):] for block in blocks), args.output,
+                   lambda values: next(prefixes) + template % values)
     else:
         scheme_text = "analytic" if scheme == "analytic" else f"central:{h:g}"
         rows = (json.dumps(block.tolist())[1:-1] for block in blocks)  # C encoder, block by block
@@ -517,7 +532,7 @@ def _build_parser():
     _add_common(field)
     field.add_argument("--grid", action="append", metavar="NAME:MIN:MAX:COUNT")
     field.add_argument("--scheme", help="analytic | central[:h]")
-    field.add_argument("--pole-margin", type=_finite, dest="pole_margin",
+    field.add_argument("--pole-margin", type=_margin, dest="pole_margin",
                        help="clamp theta grids this far from the poles (default 0.05)")
     field.add_argument("--workers", type=_count(1), help="process count (default 1)")
 

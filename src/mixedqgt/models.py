@@ -6,8 +6,8 @@ purification lift.  Families are plain picklable objects so grid sweeps
 can fan out over processes.
 
 Registration (construction with ``check=True``) probes a 5-per-axis
-lattice of the domain for validity and, when analytic derivatives are
-declared, cross-checks them against central finite differences.
+lattice of the domain for validity (unless ``certified``) and, when analytic
+derivatives are declared, cross-checks them against central finite differences.
 """
 
 import json
@@ -42,9 +42,12 @@ class ModelFamily:
     ``derivative_matrices_at`` are their batched forms over (K, n) stacks of
     points; by default they stack the per-point results.  Registration checks
     its lattice and its three derivative probes through them, as stacks.
+    ``certified``: every state inside the domain is known to pass the density
+    checks, so registration, ``derivative_stack`` and ``msqgt_field`` skip them.
     """
 
     analytic = False
+    certified = False
 
     def __init__(self, name, param_labels, domain, check=True):
         self.name = str(name)
@@ -103,6 +106,11 @@ class ModelFamily:
     def matrices_at(self, points):
         return np.array([self.matrix_at(p) for p in points], dtype=complex)
 
+    def _central_stencil(self, neighbours):
+        """(K, n, 2, N, N) states at a (K, n, 2, n) stack of chart points."""
+        flat = self.matrices_at(neighbours.reshape(-1, neighbours.shape[-1]))
+        return flat.reshape(*neighbours.shape[:3], *flat.shape[-2:])
+
     def derivative_matrices_at(self, points):
         return np.array([self.analytic_derivative_matrices(p) for p in points], dtype=complex)
 
@@ -149,8 +157,9 @@ class ModelFamily:
     # --- registration -------------------------------------------------------
     def _registration_check(self):
         lo, hi = np.array(self.domain).T
-        for _ in _grid_states(self, np.linspace(lo, hi, 5).T):
-            pass
+        if not self.certified:  # else every lattice state passes
+            for _ in _grid_states(self, np.linspace(lo, hi, 5).T):
+                pass
         if not self.analytic:
             return
         tol = 10.0 * DEFAULT_FD_STEP ** 2
@@ -237,7 +246,8 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     up to the centre's ``eigh`` rounding (about N eps), far inside
     CONSTRUCTION_TOL.  Only uncertified neighbours are decomposed for the PSD
     check; every neighbour still gets the finite, Hermitian and trace checks,
-    and the first failing one raises exactly as without ``centre``.
+    and the first failing one raises exactly as without ``centre``.  A
+    ``certified`` model checks no neighbour.
     """
     if scheme == "analytic":
         if not model.analytic:
@@ -250,22 +260,27 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     steps = h * np.eye(points.shape[1])
     # neighbour (k, nu, side) is points[k] + h e_nu (side 0) or - h e_nu (side 1)
     neighbours = points[:, None, None, :] + np.stack([steps, -steps], axis=1)
-    flat = model.matrices_at(model.check_points(neighbours.reshape(-1, points.shape[1])))
-    mats = flat.reshape(*neighbours.shape[:3], *flat.shape[-2:])
-    certified = None
-    if centre is not None:
-        centre_mats, lowest = centre
-        # ||rho - centre||_F^2 sums the squares of the real and imaginary
-        # parts; a huge or non-finite neighbour gets an inf or NaN: uncertified
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts = (mats - centre_mats[:, None, None]).view(float)
-            dist = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-        certified = (dist <= lowest[:, None, None]).ravel()
-    check_density_stack(flat, vectors=False, certified=certified)
-    diff = (mats[:, :, 0] - mats[:, :, 1]) / (2 * h)
+    model.check_points(neighbours.reshape(-1, points.shape[1]))
+    mats = model._central_stencil(neighbours)
+    if not model.certified:
+        certified = None
+        if centre is not None:
+            centre_mats, lowest = centre
+            # ||rho - centre||_F^2 sums the squares of the real and imaginary
+            # parts; a huge or non-finite neighbour gets an inf or NaN: uncertified
+            with np.errstate(over="ignore", invalid="ignore"):
+                parts = (mats - centre_mats[:, None, None]).view(float)
+                dist = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+            certified = (dist <= lowest[:, None, None]).ravel()
+        check_density_stack(mats.reshape(-1, *mats.shape[-2:]), vectors=False,
+                            certified=certified)
+    diff = np.subtract(mats[:, :, 0], mats[:, :, 1])
+    diff /= 2 * h
     dag = diff.conj().swapaxes(-1, -2)
     worst = np.abs(diff - dag).max(axis=(1, 2, 3))
-    return 0.5 * (diff + dag), worst
+    diff += dag  # then halved: 0.5 (diff + dag), in place
+    diff *= 0.5
+    return diff, worst
 
 
 def _pauli(w, x, y, z):
@@ -497,6 +512,15 @@ class GridModel(ModelFamily):
     interpolates a (K, n) stack of points in one pass: one ``searchsorted``
     per axis, then the 2^n cell corners of every point gathered and summed
     in corner order.  ``matrix_at`` is its one-point case.
+
+    ``load_grid_model`` sets ``certified`` when the node residuals leave room
+    s = 8 2^n N eps for the rounding of any interpolant (Hermitian and trace
+    errors at most CONSTRUCTION_TOL - s, lowest eigenvalues at least s): by
+    convexity and Weyl's inequality every interpolant then passes every check,
+    unrenormalised.  A certified model (finite nodes) sums one gather of the
+    cell corners (``_corner_sums``) in ``matrices_at`` and for each point's +-h
+    neighbours, bit for bit the per-corner sums; a point whose stencil leaves
+    its cell or would be renormalised gets its neighbours from ``matrices_at``.
     """
 
     analytic = False
@@ -510,24 +534,49 @@ class GridModel(ModelFamily):
     def matrix_at(self, point):
         return self.matrices_at([point])[0]
 
-    def matrices_at(self, points):
-        points = np.asarray(points, dtype=float)
+    def _cells(self, points):
+        """Per axis, the upper node index of each point's cell and the weight of
+        its lower node, over (..., n) points."""
         his, weights = [], []
-        for x, g in zip(points.T, self.grids):
+        for x, g in zip(np.moveaxis(points, -1, 0), self.grids):
             hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
             his.append(hi)
             weights.append((g[hi] - x) / (g[hi] - g[hi - 1]))
+        return his, weights
+
+    def _corner_sums(self, his, weights):
+        """(K, S, N, N) interpolants at S points in each of K cells, from the upper
+        node indices ``his`` ((K,) per axis) and lower-node weights ((K, S) per
+        axis): one gather of the 2^n corners, summed from +0 in corner order
+        through their float view (a real weight times a complex node is the
+        product of its two parts): bit for bit the per-corner sums of
+        ``matrices_at`` where the nodes are finite."""
+        sides = np.array(list(np.ndindex(*(2,) * len(his))))
+        corners = self.values[tuple(hi[:, None] - 1 + sides[:, d] for d, hi in enumerate(his))]
+        corners = corners.view(float)
+        sums = np.empty(weights[0].shape + corners.shape[-2:])
+        term = np.empty_like(sums)
+        for c, corner in enumerate(sides):
+            np.multiply(_corner_weight(weights, corner)[..., None, None], corners[:, None, c],
+                        out=term)
+            np.add(sums if c else 0.0, term, out=sums)
+        return sums.view(complex)
+
+    def matrices_at(self, points):
+        points = np.asarray(points, dtype=float)
+        his, weights = self._cells(points)
         dim = self.values.shape[-1]
-        mats = np.zeros((len(points), dim, dim), dtype=complex)
-        for corner in np.ndindex(*(2,) * len(his)):
-            w = np.ones(len(points))
-            for wd, side in zip(weights, corner):
-                w = w * (wd if side == 0 else 1.0 - wd)
-            nodes = self.values[tuple(hi - 1 + side for hi, side in zip(his, corner))]
-            # a corner of weight zero adds nothing, even where its node is not finite
-            live = True if w.all() else (w != 0)[:, None, None]
-            np.multiply(w[:, None, None], nodes, out=nodes, where=live)
-            np.add(mats, nodes, out=mats, where=live)
+        if self.certified:  # every node finite
+            mats = self._corner_sums(his, [w[:, None] for w in weights])[:, 0]
+        else:
+            mats = np.zeros((len(points), dim, dim), dtype=complex)
+            for corner in np.ndindex(*(2,) * len(his)):
+                w = _corner_weight(weights, corner)
+                nodes = self.values[tuple(hi - 1 + side for hi, side in zip(his, corner))]
+                # a corner of weight zero adds nothing, even where its node is not finite
+                live = True if w.all() else (w != 0)[:, None, None]
+                np.multiply(w[:, None, None], nodes, out=nodes, where=live)
+                np.add(mats, nodes, out=mats, where=live)
         trace = mats.trace(axis1=-2, axis2=-1).real
         drift = np.abs(trace - 1.0)
         if (drift > 1e-6).any():
@@ -538,6 +587,39 @@ class GridModel(ModelFamily):
         renorm = drift > 1e-12
         mats[renorm] = mats[renorm] / trace[renorm, None, None]
         return mats
+
+    def _central_stencil(self, neighbours):
+        if not self.certified:
+            return super()._central_stencil(neighbours)
+        count, n = len(neighbours), neighbours.shape[-1]
+        his, weights = self._cells(neighbours.reshape(count, 2 * n, n))
+        mats = self._corner_sums([hi[:, 0] for hi in his], weights).reshape(
+            neighbours.shape[:3] + self.values.shape[-2:])
+        drift = np.abs(mats.trace(axis1=-2, axis2=-1).real - 1.0)
+        inside = np.logical_and.reduce([(hi == hi[:, :1]).all(axis=1) for hi in his])
+        redo = ~(inside & (drift <= 1e-12).all(axis=(1, 2)))
+        if redo.any():
+            mats[redo] = super()._central_stencil(neighbours[redo])
+        return mats
+
+
+def _corner_weight(weights, corner):
+    """Interpolation weight of the cell corner ``corner`` (0: lower node, 1:
+    upper node, per axis) from the lower-node weights of each axis."""
+    w = np.ones(np.shape(weights[0]))
+    for wd, side in zip(weights, corner):
+        w = w * (wd if side == 0 else 1.0 - wd)
+    return w
+
+
+def _certified(values, residuals):
+    """Whether the node residuals, in chunks, certify ``values`` (see ``GridModel``);
+    s = 8 2^n N eps max|node|, and max|node| <= 1 + 2 CONSTRUCTION_TOL if they pass."""
+    finite, herm_err, trace_err, low = (np.concatenate(r) for r in zip(*residuals))
+    n, dim = values.ndim - 2, values.shape[-1]
+    slack = 8 * 2 ** n * dim * np.finfo(float).eps
+    return bool(finite.all() and herm_err.max() <= states.CONSTRUCTION_TOL - slack
+                and trace_err.max() <= states.CONSTRUCTION_TOL - slack and low.min() >= slack)
 
 
 def _require(cond, message):
@@ -553,6 +635,7 @@ def load_grid_model(source, check=True, validate_nodes=True):
     first that is not a density matrix raises InvalidDensityAtNodeError
     naming its index.  ``validate_nodes=False`` skips the node check (used by
     reporting tools that want to collect every violation, not the first).
+    Its residuals also set ``certified`` (see ``GridModel``).
     """
     if isinstance(source, dict):
         obj = source
@@ -615,10 +698,22 @@ def load_grid_model(source, check=True, validate_nodes=True):
         _require(mat.shape == values.shape[-2:],
                  f"nodes[{k}] dimension {mat.shape[0]} differs from previous nodes")
         values[idx] = mat
+    residuals = None
     if validate_nodes:
         at = np.array(list(seen))
-        for s in chunks(len(at), values.shape[-1]):
-            _by_item(partial(check_density_stack, vectors=False), values[tuple(at[s].T)],
-                     label=lambda k, exc, s=s: InvalidDensityAtNodeError(
-                         f"node {at[s][k].tolist()}: {exc}"))
-    return GridModel(names, grids, values, check=check)
+        residuals = [_by_item(_checked_residuals, values[tuple(at[s].T)],
+                              label=lambda k, exc, s=s: InvalidDensityAtNodeError(
+                                  f"node {at[s][k].tolist()}: {exc}"))
+                     for s in chunks(len(at), values.shape[-1])]
+    model = GridModel(names, grids, values, check=False)
+    model.certified = residuals is not None and _certified(values, residuals)
+    if check:
+        model._registration_check()
+    return model
+
+
+def _checked_residuals(mats):
+    """``check_density_stack(mats, vectors=False)``, returning the residuals."""
+    residuals = states._density_residuals(mats)[:4]
+    states._check_residuals(mats, *residuals)
+    return residuals

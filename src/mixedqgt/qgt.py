@@ -155,10 +155,11 @@ def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
     """``msqgt_eigenroute(model.evaluate(x), derivatives(model, x, scheme, h))``
     at a (K, n) stack of chart points x, with the same checks in the same order
     per stage, batched; the decomposed states certify their central-difference
-    neighbours as PSD (see ``derivative_stack``).  Returns Q (K, n, n) and the
-    sym/antisym residuals."""
+    neighbours as PSD (see ``derivative_stack``).  The states of a
+    ``certified`` model are decomposed unchecked; the rank floor still holds.
+    Returns Q (K, n, n) and the sym/antisym residuals."""
     mats = model.matrices_at(model.check_points(points))
-    p, basis = check_density_stack(mats)
+    p, basis = (states._hermitian_eigh if model.certified else check_density_stack)(mats)
     drho, _ = derivative_stack(model, points, scheme, h, centre=(mats, p[:, 0]))
     if not p[:, 0].min() > RANK_TOL:
         k = (~(p[:, 0] > RANK_TOL)).argmax()

@@ -196,7 +196,7 @@ def _density_residuals(mats, vectors=False, certified=None):
         trace_err = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
     spectrum = None
     if vectors:
-        spectrum = _eigh(0.5 * mats + 0.5 * dag)  # halved first: no overflow
+        spectrum = _hermitian_eigh(mats, dag)
         low = spectrum[0][:, 0]
     else:
         low = np.zeros(len(mats))
@@ -204,6 +204,14 @@ def _density_residuals(mats, vectors=False, certified=None):
         if todo.any():
             low[todo] = _eigvalsh(0.5 * mats[todo] + 0.5 * dag[todo])[:, 0]
     return finite, herm_err, trace_err, low, spectrum
+
+
+def _hermitian_eigh(mats, dag=None):
+    """Ascending ``_eigh`` of the Hermitian parts (rho + rho^dag) / 2 of a stack,
+    halved first (no overflow); ``dag`` is rho^dag if the caller has it."""
+    if dag is None:
+        dag = mats.conj().swapaxes(-1, -2)
+    return _eigh(0.5 * mats + 0.5 * dag)
 
 
 def check_density_stack(mats, vectors=True, certified=None):
@@ -215,6 +223,12 @@ def check_density_stack(mats, vectors=True, certified=None):
     a (K,) mask of matrices whose Hermitian parts are already known to be PSD,
     skips their ``eigvalsh`` (see ``models.derivative_stack``)."""
     finite, herm_err, trace_err, low, spectrum = _density_residuals(mats, vectors, certified)
+    _check_residuals(mats, finite, herm_err, trace_err, low)
+    return spectrum if vectors else mats
+
+
+def _check_residuals(mats, finite, herm_err, trace_err, low):
+    """The stages of ``check_density_stack`` on the residuals of ``mats``."""
     if not finite.all():
         check_finite(mats)
     if not herm_err.max() <= CONSTRUCTION_TOL:
@@ -228,7 +242,6 @@ def check_density_stack(mats, vectors=True, certified=None):
             raise TraceNotOneError(
                 f"trace differs from 1 by {trace_err[k]:.3e} > {CONSTRUCTION_TOL:.1e}")
         raise NotPSDError(f"not PSD: min eigenvalue {low[k]:.3e} < -{CONSTRUCTION_TOL:.1e}")
-    return spectrum if vectors else mats
 
 
 class DensityStack:

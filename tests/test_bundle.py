@@ -266,3 +266,20 @@ def test_connection_of_stacked_tangents_matches_one_call_per_tangent(n, count, s
     assert stacked.shape == (count, n, n)
     for d, a in zip(tangents, stacked):
         assert np.max(np.abs(a - connection(psi, TangentVector(psi, d.ravel())).mat)) < 1e-13
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), t0=st.floats(0.05, 0.95))
+def test_connection_forms_agree_on_unitary_orbits(n, seed, t0):
+    # AC03 as a property, at its tolerance: the global and Schmidt forms of the
+    # connection along u(t) rho0 u(t)^dag, on both sides of the 2 x 2 seam
+    curve = unitary_orbit_curve(np.random.default_rng(seed), n)
+
+    def psi_curve(t):
+        return purify(curve(t))
+
+    tangent = finite_difference_tangent(psi_curve, t0, h=1e-5)
+    a_global = connection(tangent.base, tangent.components)
+    sd, dsd = schmidt_curve_derivative(psi_curve, t0, h=1e-5)
+    a_schmidt = connection_schmidt(sd, dsd)
+    assert np.max(np.abs(a_global.mat - a_schmidt.mat)) <= 1e-5

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mixedqgt import (BlochQubitModel, DensityMatrix, GridModel, density_violations,
                       export_grid_model, geodesic_point, load_grid_model, load_matrix,
                       matrix_to_json, solve_geodesic)
-from mixedqgt import cli, states
+from mixedqgt import cli, models, states
 from mixedqgt.errors import RankDeficientError
 from mixedqgt.geodesics import bloch_vector, geodesic_points, ode_residual
 from conftest import counted
@@ -408,6 +408,7 @@ def test_field_rank_deficient_family_exits_4_naming_the_point():
     ("field", "--grid", "theta:-inf:2.5:3"),
     ("field", "--set", "r=nan"),
     ("field", "--pole-margin", "nan"),
+    ("field", "--pole-margin", "-1"),
     ("field", "--scheme", "central:nan"),
     ("geodesic", "--point-a", "theta=nan,phi=0.2", "--point-b", "theta=1.9,phi=2.4"),
     ("limit-sweep", "--betas", "1,nan", "--point", "theta=1.2,phi=0.8"),
@@ -430,6 +431,7 @@ def test_field_rejects_bad_worker_counts(workers):
     ({"workers": 0}, "workers"),
     ({"workers": 2.5}, "workers"),
     ({"pole_margin": "wide"}, "pole_margin"),
+    ({"pole_margin": -1}, "pole_margin"),
     ({"format": "xml"}, "format"),
     ({"grid": "theta:0.3:2.8:3"}, "grid"),
     ({"model": ["bloch"]}, "model"),
@@ -722,11 +724,21 @@ def test_field_json_rows_are_never_held_whole(tmp_path, monkeypatch):
 
 
 def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
-    # the decomposed centre states certify their +-h neighbours, so eigvalsh
-    # runs only for the metric check of each chunk's tensors, plus the set-up
-    # checks of the 7 x 7 nodes and the 5 x 5 registration lattice, one per
-    # chunk; interpolation is stacked, and GridModel.matrix_at serves only
-    # the probe of N, whatever the sweep's size
+    # the certified model checks no neighbour, so eigvalsh runs only for the
+    # metric check of each chunk's tensors, plus the set-up check of the 7 x 7
+    # nodes, one per chunk; interpolation is stacked, and GridModel.matrix_at
+    # serves only the probe of N, whatever the sweep's size
+    _central_field_sweep_counts(tmp_path, monkeypatch, lattice=False)
+
+
+def test_uncertified_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
+    # without the certificate the decomposed centre states certify their +-h
+    # neighbours, and registration checks its 5 x 5 lattice too
+    monkeypatch.setattr(models, "_certified", lambda values, residuals: False)
+    _central_field_sweep_counts(tmp_path, monkeypatch, lattice=True)
+
+
+def _central_field_sweep_counts(tmp_path, monkeypatch, lattice):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(export_grid_model(
         BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)])))
@@ -739,7 +751,7 @@ def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
             assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
                              "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",
                              "--output", str(tmp_path / "field.csv")]) == 0
-        setup = len(states.chunks(7 ** 2, 2)) + len(states.chunks(5 ** 2, 2))
+        setup = len(states.chunks(7 ** 2, 2)) + lattice * len(states.chunks(5 ** 2, 2))
         assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)) + setup, "matrix_at": 1}
     assert len(states.chunks(11 ** 2, 2)) == 18
 
@@ -762,3 +774,15 @@ def test_non_finite_grid_axis_fails_with_one_error_line(tmp_path, value):
         assert r.returncode == 2
         assert r.stderr == "error: params[1].grid has non-finite entries\n"
         assert r.stdout == ""
+
+
+def test_field_csv_rows_are_the_json_rows_formatted(tmp_path):
+    # the coordinates are formatted once per axis value, the rest per row
+    grid = ("--grid", "theta:0.3:2.8:5", "--grid", "phi:0:6.1:7")
+    paths = tmp_path / "field.csv", tmp_path / "field.json"
+    for fmt, path in zip(("csv", "json"), paths):
+        assert cli.main(["field", *grid, "--format", fmt, "--output", str(path)]) == 0
+    doc = json.loads(paths[1].read_text(encoding="utf-8"))
+    lines = paths[0].read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(doc["columns"])
+    assert lines[1:] == [",".join("%.17g" % v for v in row) for row in doc["rows"]]

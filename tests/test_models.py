@@ -34,7 +34,8 @@ from mixedqgt import (
     rotated_field_qubit,
 )
 from mixedqgt.models import derivative_stack
-from mixedqgt import states
+from mixedqgt.qgt import msqgt_field
+from mixedqgt import models, states
 from mixedqgt.states import check_density_stack, complex_matrix
 from conftest import counted, rand_herm, rand_unitary
 
@@ -728,9 +729,9 @@ def test_loading_and_registering_a_grid_model_decomposes_nothing(monkeypatch):
     calls = defaultdict(int)
     monkeypatch.setattr(states, "_eigh", counted(calls, "eigh", states._eigh))
     monkeypatch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
-    load_grid_model(doc)
+    assert load_grid_model(doc).certified  # so its lattice passes unchecked
     assert calls["eigh"] == 0
-    assert calls["eigvalsh"] == len(states.chunks(30, 2)) + len(states.chunks(25, 2))
+    assert calls["eigvalsh"] == len(states.chunks(30, 2))
 
 
 def test_nan_hamiltonian_is_not_hermitian():
@@ -739,3 +740,98 @@ def test_nan_hamiltonian_is_not_hermitian():
     with pytest.raises(NotHermitianError) as exc:
         model.ground_state([0.5])
     assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = nan"
+
+
+def test_an_uncertified_grid_model_checks_its_registration_lattice(monkeypatch):
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 6),
+                                                     np.linspace(0.0, 6.0, 5)])
+    calls = defaultdict(int)
+    monkeypatch.setattr(models, "_certified", lambda values, residuals: False)
+    monkeypatch.setattr(states, "_eigh", counted(calls, "eigh", states._eigh))
+    monkeypatch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
+    assert not load_grid_model(doc).certified
+    assert calls["eigh"] == 0
+    assert calls["eigvalsh"] == len(states.chunks(30, 2)) + len(states.chunks(25, 2))
+
+
+def _grid_doc(rng, dim, grids):
+    """Grid-model document of random full-rank nodes on the given axes."""
+    nodes = []
+    for idx in np.ndindex(*(len(g) for g in grids)):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = a @ a.conj().T + 0.2 * np.eye(dim)
+        m /= np.trace(m).real
+        nodes.append({"index": list(idx), "re": m.real.tolist(), "im": m.imag.tolist()})
+    return {"params": [{"name": f"x{d}", "grid": list(map(float, g))}
+                       for d, g in enumerate(grids)], "nodes": nodes}
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(2, 6), sizes=st.lists(st.integers(2, 4), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1), h=st.sampled_from([1e-5, 1e-3]))
+def test_certified_grid_fields_are_the_checked_ones_bit_for_bit(dim, sizes, seed, h):
+    # inside cells, on node lines and within h of them (the stencil crosses a
+    # node line), so the corner gather and its matrices_at fallback both run
+    rng = np.random.default_rng(seed)
+    grids = [np.cumsum(rng.uniform(0.05, 1.0, size)) for size in sizes]
+    model = load_grid_model(_grid_doc(rng, dim, grids))
+    assert model.certified
+    cols = []
+    for g in grids:
+        lines = rng.choice(g[1:-1], 6) if len(g) > 2 else np.full(6, 0.5 * (g[0] + g[1]))
+        cols.append(np.concatenate([rng.uniform(g[0] + h, g[-1] - h, 6), lines,
+                                    lines + rng.uniform(-h, h, 6)]))
+    points = np.clip(np.column_stack(cols), [g[0] + h for g in grids], [g[-1] - h for g in grids])
+    certified = (model.matrices_at(points), *msqgt_field(model, points, "central", h),
+                 *derivative_stack(model, points, "central", h))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "certified", False)
+        checked = (model.matrices_at(points), *msqgt_field(model, points, "central", h),
+                   *derivative_stack(model, points, "central", h))
+    assert all(np.array_equal(x, y) for x, y in zip(certified, checked))
+
+
+EDGE_NODES = {
+    "hermitian": np.array([[0.5, 1e-12], [0.0, 0.5]]),  # residual exactly CONSTRUCTION_TOL
+    "psd": np.diag([1.0, 0.0]),  # lowest eigenvalue 0
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_NODES))
+def test_a_node_at_the_tolerance_edge_leaves_the_model_uncertified(monkeypatch, edge):
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 4),
+                                                     np.linspace(0.0, 6.0, 3)])
+    doc["nodes"][4]["re"], doc["nodes"][4]["im"] = EDGE_NODES[edge].tolist(), [[0.0] * 2] * 2
+    assert states.density_violations(EDGE_NODES[edge]) == []
+    calls = defaultdict(int)
+    monkeypatch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
+    monkeypatch.setattr(models, "check_density_stack",
+                        counted(calls, "check", models.check_density_stack))
+    model = load_grid_model(doc)
+    assert not model.certified
+    # the registration lattice is checked, as stacks
+    assert calls == {"eigvalsh": len(states.chunks(12, 2)) + len(states.chunks(25, 2)),
+                     "check": len(states.chunks(25, 2))}
+    calls.clear()
+    points = np.array([[1.0, 2.0], [2.5, 5.0]])
+    derivative_stack(model, points)
+    assert calls["check"] == 1  # the neighbours are checked
+
+
+def test_an_uncertified_grid_model_names_the_first_failing_neighbour():
+    doc = export_grid_model(BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 4),
+                                                     np.linspace(0.0, 6.0, 3)])
+    doc["nodes"][4]["re"] = np.diag([1.2, -0.2]).tolist()
+    model = load_grid_model(doc, check=False, validate_nodes=False)
+    assert not model.certified
+    h = 1e-3
+    points = np.array([[1.0, 2.0], [0.3 + 2.5 / 3, 3.0 + 0.5 * h]])
+
+    def per_neighbour():
+        for point in points:
+            for nu in range(2):
+                for side in (1.0, -1.0):
+                    model.evaluate(point + side * h * np.eye(2)[nu])
+    expected = _first_error(per_neighbour)
+    assert expected is not None and expected[0] is NotPSDError
+    assert _first_error(lambda: derivative_stack(model, points, h=h)) == expected
