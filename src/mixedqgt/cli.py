@@ -39,6 +39,7 @@ from .errors import (
 from .states import (
     DensityMatrix,
     _by_item,
+    _read_json,
     _stack_violations,
     chunks,
     density_violations,
@@ -171,8 +172,10 @@ def _parse_overrides(items):
 
 
 def _parse_scheme(text):
-    if text is None or text == "analytic":
-        return ("analytic", None) if text else None
+    """``--scheme`` as (scheme, h); analytic by default: every model here has
+    analytic derivatives."""
+    if text in (None, "analytic"):
+        return "analytic", None
     if text == "central":
         return "central", 1e-5
     name, sep, raw = text.partition(":")
@@ -239,13 +242,6 @@ def _build_model(spec, overrides):
     return load_grid_model(spec)
 
 
-def _resolve_scheme(args_scheme, model):
-    scheme = _parse_scheme(args_scheme)
-    if scheme is None:
-        return ("analytic", None) if model.has_analytic_derivatives else ("central", 1e-5)
-    return scheme
-
-
 def _grid_axes(model, grid_specs, pole_margin):
     named = {}
     for spec in grid_specs or []:
@@ -289,7 +285,7 @@ def _pair_columns(labels):
 
 def _cmd_field(args):
     model = _build_model(args.model or "bloch", _parse_overrides(args.set))
-    scheme, h = _resolve_scheme(args.scheme, model)
+    scheme, h = _parse_scheme(args.scheme)
     margin = DEFAULT_POLE_MARGIN if args.pole_margin is None else args.pole_margin
     axes = _grid_axes(model, args.grid, margin)
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -389,8 +385,7 @@ def _cmd_geodesic(args):
 
 
 def _load_loop(path, model):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if not isinstance(obj, dict) or "points" not in obj:
         raise SchemaError('loop file must be an object with a "points" key')
     pts = obj["points"]
@@ -477,11 +472,7 @@ def _cmd_limit_sweep(args):
 
 
 def _cmd_validate(args):
-    with open(args.input, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+    obj = _read_json(args.input)
     if not isinstance(obj, dict):
         raise SchemaError("top level must be a JSON object")
 
@@ -583,11 +574,10 @@ def _config_value(key, value, action):
 def _apply_config(args, parser):
     if getattr(args, "config", None) is None:
         return
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            conf = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config is not valid JSON: {exc}") from None
+    try:
+        conf = _read_json(args.config)
+    except SchemaError as exc:
+        raise _UsageError(f"config is {exc}") from None
     if not isinstance(conf, dict):
         raise _UsageError("config must be a JSON object of option values")
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

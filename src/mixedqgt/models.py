@@ -7,10 +7,11 @@ can fan out over processes.
 
 Registration (construction with ``check=True``) probes a 5-per-axis
 lattice of the domain for validity (unless ``certified``) and, when analytic
-derivatives are declared, cross-checks them against central finite differences.
+derivatives are declared, cross-checks them against central finite differences
+(except a grid model's, which are exact in its checked nodes).
 """
 
-import json
+import numbers
 from functools import partial
 
 import numpy as np
@@ -40,8 +41,10 @@ class ModelFamily:
     ``analytic_derivative_matrices`` (setting ``analytic = True``) and an
     analytic ``lift``/``lift_tangents`` pair.  ``matrices_at`` and
     ``derivative_matrices_at`` are their batched forms over (K, n) stacks of
-    points; by default they stack the per-point results.  Registration checks
-    its lattice and its three derivative probes through them, as stacks.
+    points; by default they stack the per-point results, and
+    ``matrices_and_derivatives_at`` returns both (a family may share work
+    between them).  Registration checks its lattice and, through
+    ``_check_derivatives``, its three derivative probes, as stacks.
     ``certified``: every state inside the domain is known to pass the density
     checks, so registration, ``derivative_stack`` and ``msqgt_field`` skip them.
     """
@@ -106,13 +109,11 @@ class ModelFamily:
     def matrices_at(self, points):
         return np.array([self.matrix_at(p) for p in points], dtype=complex)
 
-    def _central_stencil(self, neighbours):
-        """(K, n, 2, N, N) states at a (K, n, 2, n) stack of chart points."""
-        flat = self.matrices_at(neighbours.reshape(-1, neighbours.shape[-1]))
-        return flat.reshape(*neighbours.shape[:3], *flat.shape[-2:])
-
     def derivative_matrices_at(self, points):
         return np.array([self.analytic_derivative_matrices(p) for p in points], dtype=complex)
+
+    def matrices_and_derivatives_at(self, points):
+        return self.matrices_at(points), self.derivative_matrices_at(points)
 
     def evaluate(self, point):
         point = self.check_point(point)
@@ -160,18 +161,18 @@ class ModelFamily:
         if not self.certified:  # else every lattice state passes
             for _ in _grid_states(self, np.linspace(lo, hi, 5).T):
                 pass
-        if not self.analytic:
-            return
-        tol = 10.0 * DEFAULT_FD_STEP ** 2
+        if self.analytic:
+            _by_item(self._check_derivatives, lo + np.array([[0.3], [0.5], [0.7]]) * (hi - lo))
 
-        def compare(probes):
-            exact, _ = derivative_stack(self, probes, "analytic")
-            approx, _ = derivative_stack(self, probes, "central")
-            worst = float(np.max(np.abs(exact - approx)))
-            if not worst <= tol:
-                raise ValidationError(f"family {self.name!r}: analytic derivatives deviate from"
-                                      f" central differences by {worst:.3e} > {tol:.1e}")
-        _by_item(compare, lo + np.array([[0.3], [0.5], [0.7]]) * (hi - lo))
+    def _check_derivatives(self, probes):
+        """Compare the analytic derivatives with central differences at a stack of probes."""
+        tol = 10.0 * DEFAULT_FD_STEP ** 2
+        exact, _ = derivative_stack(self, probes, "analytic")
+        approx, _ = derivative_stack(self, probes, "central")
+        worst = float(np.max(np.abs(exact - approx)))
+        if not worst <= tol:
+            raise ValidationError(f"family {self.name!r}: analytic derivatives deviate from"
+                                  f" central differences by {worst:.3e} > {tol:.1e}")
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, params={self.param_labels})"
@@ -228,15 +229,16 @@ def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residu
     with the worst discarded asymmetry optionally returned.
     """
     point = model.check_point(point, margin=h if scheme == "central" else 0.0)
-    mats, worst = derivative_stack(model, point[None], scheme, h)
+    mats, worst = derivative_stack(model, point[None], scheme, h, residual=return_residual)
     mats = list(mats[0])
     return (mats, float(worst[0])) if return_residual else mats
 
 
-def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=None):
+def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=None,
+                     residual=False):
     """``derivatives`` at a (K, n) stack of points, with the worst discarded
-    asymmetry of each point; all 2n central-difference neighbours of every
-    point are evaluated and validated as one stack.
+    asymmetry of each point if ``residual`` (else None); all 2n central-difference
+    neighbours of every point are evaluated and validated as one stack.
 
     ``centre`` is ``(mats, lowest)``: the (K, N, N) states at ``points``, as
     already checked and decomposed by the caller, and the smallest eigenvalue
@@ -257,11 +259,12 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     if scheme != "central":
         raise ValidationError(f"unknown derivative scheme {scheme!r}")
     model.check_points(points, margin=h)
-    steps = h * np.eye(points.shape[1])
+    count, n = points.shape
+    steps = h * np.eye(n)
     # neighbour (k, nu, side) is points[k] + h e_nu (side 0) or - h e_nu (side 1)
-    neighbours = points[:, None, None, :] + np.stack([steps, -steps], axis=1)
-    model.check_points(neighbours.reshape(-1, points.shape[1]))
-    mats = model._central_stencil(neighbours)
+    neighbours = (points[:, None, None, :] + np.stack([steps, -steps], axis=1)).reshape(-1, n)
+    mats = model.matrices_at(model.check_points(neighbours))
+    mats = mats.reshape(count, n, 2, *mats.shape[-2:])
     if not model.certified:
         certified = None
         if centre is not None:
@@ -277,7 +280,7 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     diff = np.subtract(mats[:, :, 0], mats[:, :, 1])
     diff /= 2 * h
     dag = diff.conj().swapaxes(-1, -2)
-    worst = np.abs(diff - dag).max(axis=(1, 2, 3))
+    worst = np.abs(diff - dag).max(axis=(1, 2, 3)) if residual else None
     diff += dag  # then halved: 0.5 (diff + dag), in place
     diff *= 0.5
     return diff, worst
@@ -510,20 +513,25 @@ class GridModel(ModelFamily):
     the trace may drift, so it is renormalized when it is off by more than
     1e-12 and rejected when it is off by more than 1e-6.  ``matrices_at``
     interpolates a (K, n) stack of points in one pass: one ``searchsorted``
-    per axis, then the 2^n cell corners of every point gathered and summed
+    per axis, then one gather of the 2^n cell corners of every point, summed
     in corner order.  ``matrix_at`` is its one-point case.
 
+    The analytic derivatives are exact: in a cell, along axis nu, the upper
+    minus lower node differences on that axis over the cell width, weighted
+    over the other axes; on an interior node line, the mean of the two
+    one-sided slopes (the h -> 0 limit of central differences); at the domain
+    edge, the one cell's slope.  Renormalised interpolants take the quotient
+    rule, and all are Hermitized.  Registration does not compare them with
+    central differences: they are exact in the checked nodes, and a probe
+    within h of a node line would see the kink.
+
     ``load_grid_model`` sets ``certified`` when the node residuals leave room
-    s = 8 2^n N eps for the rounding of any interpolant (Hermitian and trace
-    errors at most CONSTRUCTION_TOL - s, lowest eigenvalues at least s): by
-    convexity and Weyl's inequality every interpolant then passes every check,
-    unrenormalised.  A certified model (finite nodes) sums one gather of the
-    cell corners (``_corner_sums``) in ``matrices_at`` and for each point's +-h
-    neighbours, bit for bit the per-corner sums; a point whose stencil leaves
-    its cell or would be renormalised gets its neighbours from ``matrices_at``.
+    s = 8 2^n N eps for the rounding of any interpolant (``_certified``): then
+    every interpolant passes every check, unrenormalised, and ``msqgt_field``
+    takes the states and derivatives from one gather.
     """
 
-    analytic = False
+    analytic = True
 
     def __init__(self, param_names, grids, values, check=True):
         self.grids = [np.asarray(g, dtype=float) for g in grids]
@@ -534,49 +542,61 @@ class GridModel(ModelFamily):
     def matrix_at(self, point):
         return self.matrices_at([point])[0]
 
-    def _cells(self, points):
-        """Per axis, the upper node index of each point's cell and the weight of
-        its lower node, over (..., n) points."""
-        his, weights = [], []
-        for x, g in zip(np.moveaxis(points, -1, 0), self.grids):
-            hi = np.clip(np.searchsorted(g, x), 1, g.size - 1)
-            his.append(hi)
-            weights.append((g[hi] - x) / (g[hi] - g[hi - 1]))
-        return his, weights
-
-    def _corner_sums(self, his, weights):
-        """(K, S, N, N) interpolants at S points in each of K cells, from the upper
-        node indices ``his`` ((K,) per axis) and lower-node weights ((K, S) per
-        axis): one gather of the 2^n corners, summed from +0 in corner order
-        through their float view (a real weight times a complex node is the
-        product of its two parts): bit for bit the per-corner sums of
-        ``matrices_at`` where the nodes are finite."""
-        sides = np.array(list(np.ndindex(*(2,) * len(his))))
-        corners = self.values[tuple(hi[:, None] - 1 + sides[:, d] for d, hi in enumerate(his))]
-        corners = corners.view(float)
-        sums = np.empty(weights[0].shape + corners.shape[-2:])
-        term = np.empty_like(sums)
-        for c, corner in enumerate(sides):
-            np.multiply(_corner_weight(weights, corner)[..., None, None], corners[:, None, c],
-                        out=term)
-            np.add(sums if c else 0.0, term, out=sums)
-        return sums.view(complex)
+    def analytic_derivative_matrices(self, point):
+        return self.derivative_matrices_at(np.asarray(point, dtype=float)[None])[0]
 
     def matrices_at(self, points):
+        return self._interpolate(points, slopes=False)[0]
+
+    def derivative_matrices_at(self, points):
+        return self._interpolate(points, slopes=True)[1]
+
+    def matrices_and_derivatives_at(self, points):
+        return self._interpolate(points, slopes=True)
+
+    def _check_derivatives(self, probes):
+        """Nothing to compare: the derivatives are exact in the nodes."""
+
+    def _corners(self, his):
+        """(K, 2^n, N, 2N) float view of the 2^n corners, in corner order, of the
+        cells with upper node indices ``his`` ((K,) per axis), in one gather."""
+        sides = np.array(list(np.ndindex(*(2,) * len(his))))
+        return self.values[tuple(hi[:, None] - 1 + sides[:, d] for d, hi in enumerate(his))
+                           ].view(float)
+
+    def _slopes(self, corners, his, weights):
+        """(K, n, N, 2N) float view of the derivatives in the gathered cells: along
+        axis nu, the corners weighted over the other axes and by -+1 / width on
+        axis nu (the lower and upper node differences over the cell width), summed
+        in one ``matmul`` that reads each corner once."""
+        pairs = [(w, 1.0 - w) for w in weights]
+        signed = []
+        for nu, (hi, g) in enumerate(zip(his, self.grids)):
+            rate = 1.0 / (g[hi] - g[hi - 1])
+            signed.append(_corner_weights(pairs[:nu] + [(-rate, rate)] + pairs[nu + 1:]))
+        count, size = corners.shape[:2]
+        return np.matmul(np.stack(signed, axis=1), corners.reshape(count, size, -1)).reshape(
+            count, len(his), *corners.shape[-2:])
+
+    def _interpolate(self, points, slopes):
+        """States at a (K, n) stack of points and, with ``slopes``, their (K, n, N, N)
+        derivatives (see the class docstring), else None."""
         points = np.asarray(points, dtype=float)
-        his, weights = self._cells(points)
-        dim = self.values.shape[-1]
-        if self.certified:  # every node finite
-            mats = self._corner_sums(his, [w[:, None] for w in weights])[:, 0]
-        else:
-            mats = np.zeros((len(points), dim, dim), dtype=complex)
-            for corner in np.ndindex(*(2,) * len(his)):
-                w = _corner_weight(weights, corner)
-                nodes = self.values[tuple(hi - 1 + side for hi, side in zip(his, corner))]
-                # a corner of weight zero adds nothing, even where its node is not finite
-                live = True if w.all() else (w != 0)[:, None, None]
-                np.multiply(w[:, None, None], nodes, out=nodes, where=live)
-                np.add(mats, nodes, out=mats, where=live)
+        his, weights = [], []  # per axis: each point's upper cell node, its lower node's weight
+        for x, g in zip(points.T, self.grids):
+            his.append(np.clip(np.searchsorted(g, x), 1, g.size - 1))
+            weights.append((g[his[-1]] - x) / (g[his[-1]] - g[his[-1] - 1]))
+        table = _corner_weights([(w, 1.0 - w) for w in weights])
+        corners = self._corners(his)
+        mats, term = np.zeros((2,) + corners.shape[:1] + corners.shape[2:])
+        for c in range(table.shape[1]):  # from +0 in corner order
+            w = table[:, c, None, None]
+            # a corner of weight zero adds nothing, even where its node is not finite
+            live = True if w.all() else w != 0
+            # a real weight times a complex node is the product of its two parts
+            np.multiply(w, corners[:, c], out=term, where=live)
+            np.add(mats, term, out=mats, where=live)
+        mats = mats.view(complex)
         trace = mats.trace(axis1=-2, axis2=-1).real
         drift = np.abs(trace - 1.0)
         if (drift > 1e-6).any():
@@ -586,34 +606,41 @@ class GridModel(ModelFamily):
             )
         renorm = drift > 1e-12
         mats[renorm] = mats[renorm] / trace[renorm, None, None]
-        return mats
+        if not slopes:
+            return mats, None
+        drho = self._slopes(corners, his, weights)
+        for nu, (x, hi, g) in enumerate(zip(points.T, his, self.grids)):
+            line = (x == g[hi]) & (hi < g.size - 1)  # an interior node line of axis nu
+            if line.any():  # the mean with the next cell's slope
+                nxt = [h[line] for h in his]
+                nxt[nu] = nxt[nu] + 1
+                drho[line, nu] += self._slopes(self._corners(nxt), nxt,
+                                               [w[line] for w in weights])[:, nu]
+                drho[line, nu] *= 0.5
+        drho = drho.view(complex)
+        if renorm.any():
+            d = drho[renorm] / trace[renorm, None, None, None]
+            d -= mats[renorm, None] * d.trace(axis1=-2, axis2=-1).real[..., None, None]
+            drho[renorm] = d
+        drho += drho.conj().swapaxes(-1, -2)  # then halved: the Hermitian part
+        drho *= 0.5
+        return mats, drho
 
-    def _central_stencil(self, neighbours):
-        if not self.certified:
-            return super()._central_stencil(neighbours)
-        count, n = len(neighbours), neighbours.shape[-1]
-        his, weights = self._cells(neighbours.reshape(count, 2 * n, n))
-        mats = self._corner_sums([hi[:, 0] for hi in his], weights).reshape(
-            neighbours.shape[:3] + self.values.shape[-2:])
-        drift = np.abs(mats.trace(axis1=-2, axis2=-1).real - 1.0)
-        inside = np.logical_and.reduce([(hi == hi[:, :1]).all(axis=1) for hi in his])
-        redo = ~(inside & (drift <= 1e-12).all(axis=(1, 2)))
-        if redo.any():
-            mats[redo] = super()._central_stencil(neighbours[redo])
-        return mats
 
-
-def _corner_weight(weights, corner):
-    """Interpolation weight of the cell corner ``corner`` (0: lower node, 1:
-    upper node, per axis) from the lower-node weights of each axis."""
-    w = np.ones(np.shape(weights[0]))
-    for wd, side in zip(weights, corner):
-        w = w * (wd if side == 0 else 1.0 - wd)
-    return w
+def _corner_weights(factors):
+    """(K, 2^n) products of one (lower-node, upper-node) pair of (K,) factors per
+    axis, one column per cell corner in corner order (``np.ndindex``), each
+    multiplied out in axis order from 1."""
+    table = np.ones((len(factors[0][0]), 1))
+    for pair in factors:
+        table = (table[:, :, None] * np.array(pair).T[:, None]).reshape(len(table), -1)
+    return table
 
 
 def _certified(values, residuals):
-    """Whether the node residuals, in chunks, certify ``values`` (see ``GridModel``);
+    """Whether the node residuals, in chunks, certify ``values``: Hermitian and trace
+    errors at most CONSTRUCTION_TOL - s and lowest eigenvalues at least s, so by
+    convexity and Weyl's inequality every interpolant passes every check.  Here
     s = 8 2^n N eps max|node|, and max|node| <= 1 + 2 CONSTRUCTION_TOL if they pass."""
     finite, herm_err, trace_err, low = (np.concatenate(r) for r in zip(*residuals))
     n, dim = values.ndim - 2, values.shape[-1]
@@ -630,20 +657,14 @@ def _require(cond, message):
 def load_grid_model(source, check=True, validate_nodes=True):
     """Parse and validate a grid model from a path, file object, or dict.
 
-    Schema errors (malformed document) raise SchemaError, all of them before
-    the nodes are checked, in document order as ``states.chunks`` stacks: the
-    first that is not a density matrix raises InvalidDensityAtNodeError
-    naming its index.  ``validate_nodes=False`` skips the node check (used by
-    reporting tools that want to collect every violation, not the first).
-    Its residuals also set ``certified`` (see ``GridModel``).
+    Schema errors (text that is not UTF-8 JSON, a malformed document) raise
+    SchemaError, all before the nodes are checked, in document order as
+    ``states.chunks`` stacks: the first that is not a density matrix raises
+    InvalidDensityAtNodeError naming its index.  ``validate_nodes=False``
+    skips the node check (used by reporting tools that want to collect every
+    violation, not the first).  Its residuals set ``certified`` (``GridModel``).
     """
-    if isinstance(source, dict):
-        obj = source
-    elif hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        with open(source) as fh:
-            obj = json.load(fh)
+    obj = source if isinstance(source, dict) else states._read_json(source)
 
     _require(isinstance(obj, dict), "top level must be an object")
     _require(set(obj) == {"params", "nodes"},
@@ -658,10 +679,12 @@ def load_grid_model(source, check=True, validate_nodes=True):
         grid = entry["grid"]
         _require(isinstance(grid, list) and len(grid) >= 2,
                  f"params[{k}].grid must list >= 2 values")
+        _require(all(isinstance(x, numbers.Real) for x in grid),
+                 f"params[{k}].grid has non-numeric entries")
         try:
             grid = np.asarray(grid, dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaError(f"params[{k}].grid has non-numeric entries") from None
+        except OverflowError:
+            raise SchemaError(f"params[{k}].grid has entries beyond the float range") from None
         _require(bool(np.isfinite(grid).all()), f"params[{k}].grid has non-finite entries")
         _require(bool(np.all(np.diff(grid) > 0)),
                  f"params[{k}].grid must be strictly increasing")
@@ -691,6 +714,8 @@ def load_grid_model(source, check=True, validate_nodes=True):
             mat = complex_matrix(node["re"], node["im"])
         except (TypeError, ValueError):
             raise SchemaError(f"nodes[{k}] has non-numeric matrix entries") from None
+        except OverflowError:
+            raise SchemaError(f"nodes[{k}] has matrix entries beyond the float range") from None
         _require(mat.ndim == 2 and mat.shape[0] == mat.shape[1],
                  f"nodes[{k}] matrix must be square, got shape {mat.shape}")
         if values is None:

@@ -156,11 +156,17 @@ def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
     at a (K, n) stack of chart points x, with the same checks in the same order
     per stage, batched; the decomposed states certify their central-difference
     neighbours as PSD (see ``derivative_stack``).  The states of a
-    ``certified`` model are decomposed unchecked; the rank floor still holds.
-    Returns Q (K, n, n) and the sym/antisym residuals."""
-    mats = model.matrices_at(model.check_points(points))
+    ``certified`` model are decomposed unchecked, and under the analytic scheme
+    come with their derivatives from one ``matrices_and_derivatives_at`` call;
+    the rank floor still holds.  Returns Q (K, n, n) and the sym/antisym
+    residuals."""
+    model.check_points(points)
+    joint = model.certified and scheme == "analytic"
+    mats, drho = model.matrices_and_derivatives_at(points) if joint else (
+        model.matrices_at(points), None)
     p, basis = (states._hermitian_eigh if model.certified else check_density_stack)(mats)
-    drho, _ = derivative_stack(model, points, scheme, h, centre=(mats, p[:, 0]))
+    if drho is None:
+        drho, _ = derivative_stack(model, points, scheme, h, centre=(mats, p[:, 0]))
     if not p[:, 0].min() > RANK_TOL:
         k = (~(p[:, 0] > RANK_TOL)).argmax()
         raise RankDeficientError(

@@ -478,7 +478,19 @@ def complex_matrix(re, im):
         return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 
+def _read_json(source):
+    """The JSON document in a path or file object; text that is not UTF-8 or
+    not JSON raises SchemaError naming the cause."""
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        kind = "valid JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8 text"
+        raise SchemaError(f"not {kind}: {exc}") from None
+
+
 def load_matrix(path):
     """Read a matrix JSON file for construction, refusing non-finite entries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return check_finite(matrix_from_json(json.load(fh)))
+    return check_finite(matrix_from_json(_read_json(path)))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mixedqgt import (BlochQubitModel, DensityMatrix, GridModel, density_violations,
                       export_grid_model, geodesic_point, load_grid_model, load_matrix,
                       matrix_to_json, solve_geodesic)
-from mixedqgt import cli, models, states
+from mixedqgt import cli, models, qgt, states
 from mixedqgt.errors import RankDeficientError
 from mixedqgt.geodesics import bloch_vector, geodesic_points, ode_residual
 from conftest import counted
@@ -754,6 +754,49 @@ def _central_field_sweep_counts(tmp_path, monkeypatch, lattice):
         setup = len(states.chunks(7 ** 2, 2)) + lattice * len(states.chunks(5 ** 2, 2))
         assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)) + setup, "matrix_at": 1}
     assert len(states.chunks(11 ** 2, 2)) == 18
+
+
+def test_analytic_field_sweep_gathers_each_chunk_once(tmp_path, monkeypatch):
+    # a certified grid model's states and exact derivatives come from one
+    # corner gather per chunk: one eigh per chunk, no central differences and
+    # no neighbour interpolants (matrices_at serves only the probe of N)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(export_grid_model(
+        BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)])))
+    monkeypatch.setattr(states, "CHUNK_ENTRIES", 7 * 2 * 2)  # points per chunk for N = 2
+    calls = defaultdict(int)
+    monkeypatch.setattr(states, "_eigh", counted(calls, "eigh", states._eigh))
+    monkeypatch.setattr(qgt, "derivative_stack", counted(calls, "central", qgt.derivative_stack))
+    for name in ("matrices_at", "_corners"):
+        monkeypatch.setattr(GridModel, name, counted(calls, name, getattr(GridModel, name)))
+    # 10 values per axis, none of them within 0.01 of a node line
+    assert cli.main(["field", "--model", str(path), "--grid", "theta:0.4:2.7:10",
+                     "--grid", "phi:0.1:6.1:10", "--output", str(tmp_path / "field.csv")]) == 0
+    chunks = len(states.chunks(10 ** 2, 2))
+    assert chunks == 15
+    assert calls == {"eigh": chunks, "_corners": chunks + 1, "matrices_at": 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"params": [{"name": "x", "grid": [[0.0], [1.0]]}], "nodes": []}',
+     "error: params[0].grid has non-numeric entries\n"),
+    (b'{"params": [{"name": "x", "grid": [0.0, 1.0]}], "nodes": [',
+     "error: not valid JSON: Expecting value: line 1 column 59 (char 58)\n"),
+    (b'\xff{"params": []}',
+     "error: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
+     " invalid start byte\n"),
+    (b'{"params": [{"name": "x", "grid": [0, 1%s]}], "nodes": []}' % (b"0" * 400),
+     "error: params[0].grid has entries beyond the float range\n"),
+    (b'{"params": [{"name": "x", "grid": [0, 1]}], "nodes": [{"index": [0],'
+     b' "re": [[1%s]], "im": [[0]]}, {"index": [1], "re": [[1]], "im": [[0]]}]}' % (b"0" * 400),
+     "error: nodes[0] has matrix entries beyond the float range\n"),
+])
+def test_malformed_grid_model_files_fail_with_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "grid.json"
+    path.write_bytes(text)
+    for args in (["validate", str(path)], ["field", "--model", str(path)]):
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 def test_geodesic_between_close_points_succeeds():

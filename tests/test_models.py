@@ -17,7 +17,6 @@ from mixedqgt import (
     InvalidDensityAtNodeError,
     MixedQGTError,
     ModelFamily,
-    NoAnalyticDerivativesError,
     NotHermitianError,
     NotPSDError,
     OutOfDomainError,
@@ -283,13 +282,17 @@ def test_grid_trace_band():
     assert "np.float64" not in str(exc.value)
 
 
-def test_grid_model_has_no_analytic_derivatives():
+def test_grid_model_has_analytic_derivatives():
     doc = export_grid_model(BlochQubitModel(r=0.9),
                             [np.linspace(0.3, 2.8, 5), np.linspace(0.0, 6.0, 5)])
     grid = load_grid_model(doc)
-    assert not grid.has_analytic_derivatives
-    with pytest.raises(NoAnalyticDerivativesError):
-        derivatives(grid, [1.0, 1.0], scheme="analytic")
+    assert grid.has_analytic_derivatives
+    point = np.array([1.0, 1.0])
+    exact = derivatives(grid, point, scheme="analytic")
+    # the one-point case of the stacked derivatives, and the matrices' own limit
+    assert np.array_equal(exact, grid.derivative_matrices_at(point[None])[0])
+    assert np.array_equal(exact, grid.analytic_derivative_matrices(point))
+    assert np.allclose(exact, derivatives(grid, point, scheme="central"), rtol=0, atol=1e-10)
 
 
 def test_constant_grid_family_has_zero_tensor():
@@ -771,7 +774,8 @@ def _grid_doc(rng, dim, grids):
        seed=st.integers(0, 2 ** 32 - 1), h=st.sampled_from([1e-5, 1e-3]))
 def test_certified_grid_fields_are_the_checked_ones_bit_for_bit(dim, sizes, seed, h):
     # inside cells, on node lines and within h of them (the stencil crosses a
-    # node line), so the corner gather and its matrices_at fallback both run
+    # node line); the analytic fields take the states and their derivatives
+    # from one corner gather, the checked ones from two
     rng = np.random.default_rng(seed)
     grids = [np.cumsum(rng.uniform(0.05, 1.0, size)) for size in sizes]
     model = load_grid_model(_grid_doc(rng, dim, grids))
@@ -782,12 +786,14 @@ def test_certified_grid_fields_are_the_checked_ones_bit_for_bit(dim, sizes, seed
         cols.append(np.concatenate([rng.uniform(g[0] + h, g[-1] - h, 6), lines,
                                     lines + rng.uniform(-h, h, 6)]))
     points = np.clip(np.column_stack(cols), [g[0] + h for g in grids], [g[-1] - h for g in grids])
-    certified = (model.matrices_at(points), *msqgt_field(model, points, "central", h),
-                 *derivative_stack(model, points, "central", h))
+    def fields():
+        return (model.matrices_at(points), *msqgt_field(model, points, "central", h),
+                *derivative_stack(model, points, "central", h),
+                *msqgt_field(model, points, "analytic"), model.derivative_matrices_at(points))
+    certified = fields()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "certified", False)
-        checked = (model.matrices_at(points), *msqgt_field(model, points, "central", h),
-                   *derivative_stack(model, points, "central", h))
+        checked = fields()
     assert all(np.array_equal(x, y) for x, y in zip(certified, checked))
 
 
@@ -835,3 +841,72 @@ def test_an_uncertified_grid_model_names_the_first_failing_neighbour():
     expected = _first_error(per_neighbour)
     assert expected is not None and expected[0] is NotPSDError
     assert _first_error(lambda: derivative_stack(model, points, h=h)) == expected
+
+
+def _hermitian(mats):
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(2, 6), sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       kind=st.sampled_from(["certified", "uncertified", "renormalised"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_derivatives_are_the_limits_of_differences(dim, sizes, kind, seed):
+    # the exact derivative is the central difference's limit inside cells and
+    # on node lines, the mean of the two one-sided slopes on a node line, and
+    # the one cell's slope at the edge; an uncertified model interpolates by
+    # its per-corner loop, and a renormalised one takes the quotient rule
+    rng = np.random.default_rng(seed)
+    grids = [np.cumsum(rng.uniform(0.05, 1.0, size)) for size in sizes]
+    model = load_grid_model(_grid_doc(rng, dim, grids))
+    assert model.certified
+    if kind != "certified":
+        values = model.values.copy()
+        if kind == "renormalised":  # every interpolant's trace drifts past 1e-12
+            values *= 1.0 + rng.uniform(1e-9, 5e-7, values.shape[:-2] + (1, 1))
+        model = GridModel(model.param_labels, grids, values, check=False)
+    h = 1e-5
+    tol = 100 * (h ** 2 + np.finfo(float).eps / h)
+    # at least 5e-4 inside a cell on every axis
+    inside = np.column_stack([
+        g[cell] + rng.uniform(0.01, 0.99, 6) * (g[cell + 1] - g[cell])
+        for g in grids for cell in [rng.integers(0, g.size - 1, 6)]])
+    exact = derivative_stack(model, inside, "analytic")[0]
+    assert np.abs(exact - derivative_stack(model, inside, "central", h)[0]).max() <= tol
+    for nu, g in enumerate(grids):
+        step = h * np.eye(len(grids))[nu]
+        if g.size > 2:
+            on_line = inside.copy()
+            on_line[:, nu] = rng.choice(g[1:-1], len(inside))
+            exact = derivative_stack(model, on_line, "analytic")[0]
+            left = (model.matrices_at(on_line) - model.matrices_at(on_line - step)) / h
+            right = (model.matrices_at(on_line + step) - model.matrices_at(on_line)) / h
+            assert np.abs(exact[:, nu] - _hermitian(0.5 * (left + right))).max() <= tol
+            assert np.abs(exact - derivative_stack(model, on_line, "central", h)[0]).max() <= tol
+        for end, side in ((g[0], 1.0), (g[-1], -1.0)):
+            at_edge = inside.copy()
+            at_edge[:, nu] = end
+            one_cell = side * (model.matrices_at(at_edge + side * step)
+                               - model.matrices_at(at_edge)) / h
+            exact = derivative_stack(model, at_edge, "analytic")[0]
+            assert np.abs(exact[:, nu] - _hermitian(one_cell)).max() <= tol
+
+
+@pytest.mark.parametrize("middle", [0.5, 0.3 + 5e-6])
+def test_a_node_line_at_a_registration_probe_loads(middle):
+    # the probes sit at 0.3, 0.5 and 0.7 of the domain: on the middle node of
+    # a 3-node axis, or within h of it, where central differences see the kink
+    rng = np.random.default_rng(71)
+    grids = [np.array([0.0, middle, 1.0])]
+    model = load_grid_model(_grid_doc(rng, 3, grids))
+    assert model.certified
+    GridModel(model.param_labels, grids, model.values, check=True)  # checks its lattice
+    point = np.array([[middle]])
+    exact = derivative_stack(model, point, "analytic")[0][0, 0]
+    values = model.values
+    slopes = (values[1] - values[0]) / middle, (values[2] - values[1]) / (1.0 - middle)
+    assert np.abs(exact - _hermitian(0.5 * (slopes[0] + slopes[1]))).max() <= 1e-13
+    within = derivative_stack(model, point - 5e-6, "analytic")[0][0, 0]
+    assert np.abs(within - _hermitian(slopes[0])).max() <= 1e-13
+    kink = np.abs(derivative_stack(model, point - 5e-6, "central")[0] - within).max()
+    assert kink > 1e-3
