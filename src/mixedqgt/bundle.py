@@ -25,7 +25,8 @@ from .errors import (
     NotUnitaryError,
     RankDeficientError,
 )
-from .states import RANK_TOL, DensityStack, Purification, _matmul, check_norm_stack, schmidt
+from . import states
+from .states import RANK_TOL, Purification, _matmul, check_norm_stack, schmidt
 
 DEFAULT_FD_STEP = 1e-5
 HERMITICITY_TOL = 1e-10
@@ -102,12 +103,15 @@ def lyapunov_superop(sigma, o):
     A DensityStack sigma with a (K, N, N) stack O solves K equations; the
     first sigma at or below the rank floor RANK_TOL raises.
     """
-    low = np.ravel(sigma.min_eigenvalue)
+    return _lyapunov(sigma.eigenvalues, sigma.eigenvectors, o)
+
+
+def _lyapunov(q, basis, o):
+    """``lyapunov_superop`` from sigma's eigenvalues q and eigenvectors, in any order."""
+    low = np.ravel(q.min(axis=-1))
     if (low <= RANK_TOL).any():
         raise RankDeficientError(f"sigma min eigenvalue {low[(low <= RANK_TOL).argmax()]:.3e}"
                                  f" <= rank floor {RANK_TOL:.1e}")
-    q = sigma.eigenvalues
-    basis = sigma.eigenvectors
     dag = basis.conj().swapaxes(-1, -2)
     x_tilde = _matmul(_matmul(dag, np.asarray(o, dtype=complex)), basis)
     return _matmul(_matmul(basis, x_tilde / (q[..., :, None] + q[..., None, :])), dag)
@@ -129,17 +133,21 @@ def connection(psi, dpsi):
     ``psi`` may also be a (K, N, N) stack of amplitude matrices, norm-checked
     here, with ``dpsi`` of the same shape.  The result holds one operator
     per tangent, and each check raises for the first matrix it fails.
+
+    rho_E = (W^dag W)^T is decomposed by ``states._eigh`` alone: W passed the
+    norm check, so rho_E is Hermitian and PSD to rounding, of trace 1 within
+    CONSTRUCTION_TOL.  The rank floor and the result's Hermiticity check stay.
     """
     if isinstance(psi, Purification):
         w, d = psi.amplitude_matrix, _tangent_matrix(dpsi, psi)
     else:
         w, d = check_norm_stack(np.asarray(psi, dtype=complex)), np.asarray(dpsi, dtype=complex)
     w_dag = w.conj().swapaxes(-1, -2)
-    rho_env = DensityStack(_matmul(w_dag, w).swapaxes(-1, -2))
+    q, basis = states._eigh(_matmul(w_dag, w).swapaxes(-1, -2))
     m = _matmul(w_dag, d)
     # Tr_S(|dpsi><psi| - |psi><dpsi|), exactly anti-Hermitian
     o = (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
-    return EnvOperator(-1j * lyapunov_superop(rho_env, o))
+    return EnvOperator(-1j * _lyapunov(q, basis, o))
 
 
 @dataclass

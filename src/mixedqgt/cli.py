@@ -39,6 +39,7 @@ from .errors import (
 from .states import (
     DensityMatrix,
     _by_item,
+    _json_floats,
     _read_json,
     _stack_violations,
     chunks,
@@ -397,7 +398,7 @@ def _load_loop(path, model):
             raise SchemaError(
                 f"loop point {k} must list {model.n_params} coordinates"
             )
-        vertices.append(np.asarray(p, dtype=float))
+        vertices.append(_json_floats(p, f"loop point {k}", "coordinates", ndim=1, finite=True))
     # an open vertex list is legal here; closure is enforced on the
     # density-matrix curve itself (NotClosed -> exit 4)
     return np.array(vertices)
@@ -609,7 +610,7 @@ def main(argv=None):
     try:
         _apply_config(args, parser)
         return _COMMANDS[args.command](args)
-    except (_UsageError, SchemaError, NoAnalyticDerivativesError) as exc:
+    except (_UsageError, SchemaError, NoAnalyticDerivativesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _NUMERICAL_ERRORS as exc:
@@ -618,9 +619,6 @@ def main(argv=None):
     except MixedQGTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

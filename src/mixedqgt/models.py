@@ -11,7 +11,6 @@ derivatives are declared, cross-checks them against central finite differences
 (except a grid model's, which are exact in its checked nodes).
 """
 
-import numbers
 from functools import partial
 
 import numpy as np
@@ -251,10 +250,7 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     and the first failing one raises exactly as without ``centre``.  A
     ``certified`` model checks no neighbour.
     """
-    if scheme == "analytic":
-        if not model.analytic:
-            raise NoAnalyticDerivativesError(
-                f"family {model.name!r} declares no analytic derivatives")
+    if scheme == "analytic":  # a family without them raises NoAnalyticDerivativesError
         return model.derivative_matrices_at(model.check_points(points)), np.zeros(len(points))
     if scheme != "central":
         raise ValidationError(f"unknown derivative scheme {scheme!r}")
@@ -417,6 +413,8 @@ class ThermalModel(ModelFamily):
         return (vecs * weights) @ vecs.conj().T
 
     def analytic_derivative_matrices(self, point):
+        if not self.analytic:
+            return super().analytic_derivative_matrices(point)
         point = np.asarray(point, dtype=float)
         shifted, vecs = self._spectrum(point)
         boltz = np.exp(-self.beta * shifted)
@@ -657,8 +655,8 @@ def _require(cond, message):
 def load_grid_model(source, check=True, validate_nodes=True):
     """Parse and validate a grid model from a path, file object, or dict.
 
-    Schema errors (text that is not UTF-8 JSON, a malformed document) raise
-    SchemaError, all before the nodes are checked, in document order as
+    Schema errors (text that is not UTF-8 JSON, a malformed document or number)
+    raise SchemaError, all before the nodes are checked, in document order as
     ``states.chunks`` stacks: the first that is not a density matrix raises
     InvalidDensityAtNodeError naming its index.  ``validate_nodes=False``
     skips the node check (used by reporting tools that want to collect every
@@ -679,13 +677,7 @@ def load_grid_model(source, check=True, validate_nodes=True):
         grid = entry["grid"]
         _require(isinstance(grid, list) and len(grid) >= 2,
                  f"params[{k}].grid must list >= 2 values")
-        _require(all(isinstance(x, numbers.Real) for x in grid),
-                 f"params[{k}].grid has non-numeric entries")
-        try:
-            grid = np.asarray(grid, dtype=float)
-        except OverflowError:
-            raise SchemaError(f"params[{k}].grid has entries beyond the float range") from None
-        _require(bool(np.isfinite(grid).all()), f"params[{k}].grid has non-finite entries")
+        grid = states._json_floats(grid, f"params[{k}].grid", ndim=1, finite=True)
         _require(bool(np.all(np.diff(grid) > 0)),
                  f"params[{k}].grid must be strictly increasing")
         names.append(entry["name"])
@@ -710,12 +702,9 @@ def load_grid_model(source, check=True, validate_nodes=True):
         idx = tuple(idx)
         _require(idx not in seen, f"duplicate node index {list(idx)}")
         seen[idx] = None
-        try:
-            mat = complex_matrix(node["re"], node["im"])
-        except (TypeError, ValueError):
-            raise SchemaError(f"nodes[{k}] has non-numeric matrix entries") from None
-        except OverflowError:
-            raise SchemaError(f"nodes[{k}] has matrix entries beyond the float range") from None
+        # parts of different shapes are ragged as a pair: non-numeric, as numpy says
+        mat = complex_matrix(*states._json_floats([node["re"], node["im"]], f"nodes[{k}]",
+                                                  "matrix entries"))
         _require(mat.ndim == 2 and mat.shape[0] == mat.shape[1],
                  f"nodes[{k}] matrix must be square, got shape {mat.shape}")
         if values is None:

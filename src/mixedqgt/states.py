@@ -465,11 +465,37 @@ def matrix_from_json(obj):
     if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
         raise SchemaError('matrix object must have keys "dim", "re", "im"')
     n = obj["dim"]
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    if type(n) not in (int, float) or not (n >= 1 and n % 1 == 0):  # a JSON true is no int
+        raise SchemaError(f"dim must be a positive integer, got {n!r}")
+    re, im = _json_floats(obj["re"], "re"), _json_floats(obj["im"], "im")
     if re.shape != (n, n) or im.shape != (n, n):
         raise SchemaError(f"matrix parts must be {n}x{n}, got {re.shape} and {im.shape}")
     return complex_matrix(re, im)
+
+
+def _json_floats(value, field, what="entries", ndim=None, finite=False):
+    """The reader of every number in an input file: JSON numbers nested as a
+    rectangular array (of ``ndim`` dimensions, if given) as a float array, else
+    SchemaError naming ``field``.  numpy's conversion decides (dtype kind, ragged
+    ValueError); only object arrays (big integers, null) are walked, and only flat
+    lists scanned for booleans numpy would take as numbers.  NaN and Infinity are
+    data, left to later checks, unless ``finite`` (chart coordinates)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = np.asarray(None)
+    ok = arr.dtype.kind in "iuf" or arr.dtype == object and all(
+        type(x) in (int, float) for x in arr.flat)
+    if (not ok or ndim not in (None, arr.ndim)
+            or arr.ndim == 1 and any(type(x) is bool for x in value)):
+        raise SchemaError(f"{field} has non-numeric {what}")
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"{field} has {what} beyond the float range") from None
+    if finite and not np.isfinite(arr).all():
+        raise SchemaError(f"{field} has non-finite {what}")
+    return arr
 
 
 def complex_matrix(re, im):
@@ -480,14 +506,14 @@ def complex_matrix(re, im):
 
 def _read_json(source):
     """The JSON document in a path or file object; text that is not UTF-8 or
-    not JSON raises SchemaError naming the cause."""
+    not JSON (or nested too deep to decode) raises SchemaError naming the cause."""
     try:
         if hasattr(source, "read"):
             return json.load(source)
         with open(source, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        kind = "valid JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8 text"
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        kind = "UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "valid JSON"
         raise SchemaError(f"not {kind}: {exc}") from None
 
 

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,9 @@ from mixedqgt import (
     schmidt_curve_derivative,
     vertical_project,
 )
+from mixedqgt import states
 from mixedqgt.bundle import _check_unitary
-from conftest import rand_density, rand_herm, rand_unitary, unitary_orbit_curve
+from conftest import counted, rand_density, rand_herm, rand_unitary, unitary_orbit_curve
 
 
 def test_env_operator_requires_hermitian():
@@ -283,3 +286,35 @@ def test_connection_forms_agree_on_unitary_orbits(n, seed, t0):
     sd, dsd = schmidt_curve_derivative(psi_curve, t0, h=1e-5)
     a_schmidt = connection_schmidt(sd, dsd)
     assert np.max(np.abs(a_global.mat - a_schmidt.mat)) <= 1e-5
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), count=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_connection_is_the_lyapunov_solve_of_the_checked_rho_e(n, count, seed):
+    # rho_E is decomposed without the density checks; the operators are those
+    # of the checked DensityStack's solve, on both sides of the 2 x 2 seam
+    rng = np.random.default_rng(seed)
+    w = np.array([purify(rand_density(rng, n)).amplitude_matrix @ rand_unitary(rng, n)
+                  for _ in range(count)])
+    d = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    rho_env = DensityStack((w.conj().swapaxes(-1, -2) @ w).swapaxes(-1, -2))
+    m = w.conj().swapaxes(-1, -2) @ d
+    expected = -1j * lyapunov_superop(rho_env, (m - m.conj().swapaxes(-1, -2)).swapaxes(-1, -2))
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(connection(w, d).mat - expected)) <= 1e-12 * scale
+    one = connection(Purification.from_matrix(w[0]), d).mat  # one rho_E, stacked tangents
+    assert np.max(np.abs(one[0] - expected[0])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_connection_decomposes_rho_e_once_unchecked(monkeypatch, n):
+    rng = np.random.default_rng(5)
+    w = np.array([purify(rand_density(rng, n)).amplitude_matrix for _ in range(3)])
+    d = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    calls = defaultdict(int)
+    for name in ("_eigh", "_density_residuals", "_order_spectrum"):
+        monkeypatch.setattr(states, name, counted(calls, name, getattr(states, name)))
+    for psi in (w, Purification.from_matrix(w[0])):
+        calls.clear()
+        connection(psi, d)
+        assert calls == {"_eigh": 1}

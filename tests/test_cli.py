@@ -1,5 +1,8 @@
 import concurrent.futures
+import contextlib
+import copy
 import csv
+import io
 import json
 import pathlib
 import shutil
@@ -790,6 +793,14 @@ def test_analytic_field_sweep_gathers_each_chunk_once(tmp_path, monkeypatch):
     (b'{"params": [{"name": "x", "grid": [0, 1]}], "nodes": [{"index": [0],'
      b' "re": [[1%s]], "im": [[0]]}, {"index": [1], "re": [[1]], "im": [[0]]}]}' % (b"0" * 400),
      "error: nodes[0] has matrix entries beyond the float range\n"),
+    (b'{"params": [{"name": "x", "grid": [0.0, true]}], "nodes": []}',
+     "error: params[0].grid has non-numeric entries\n"),
+    (b'{"params": [{"name": "x", "grid": [0, 1]}], "nodes": [{"index": [0],'
+     b' "re": [[null]], "im": [[0]]}, {"index": [1], "re": [[1]], "im": [[0]]}]}',
+     "error: nodes[0] has non-numeric matrix entries\n"),
+    (b'{"params": [{"name": "x", "grid": [0, 1]}], "nodes": [{"index": [0],'
+     b' "re": [[1]], "im": 0}, {"index": [1], "re": [[1]], "im": [[0]]}]}',
+     "error: nodes[0] has non-numeric matrix entries\n"),
 ])
 def test_malformed_grid_model_files_fail_with_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "grid.json"
@@ -829,3 +840,164 @@ def test_field_csv_rows_are_the_json_rows_formatted(tmp_path):
     lines = paths[0].read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(doc["columns"])
     assert lines[1:] == [",".join("%.17g" % v for v in row) for row in doc["rows"]]
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond the float range
+STATE_TEXT = '{"dim": %s, "re": [[0.6, %s], [0.1, 0.4]], "im": [[0, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize("text, message", [
+    (STATE_TEXT % (2, '"a"'), "re has non-numeric entries"),
+    ('{"dim": 2, "re": [[0.6, 0.1], [0.4]], "im": [[0, 0], [0, 0]]}',
+     "re has non-numeric entries"),
+    ('{"dim": 2, "re": [[0.6, 0.1], {"a": 0.4}], "im": [[0, 0], [0, 0]]}',
+     "re has non-numeric entries"),
+    ('{"dim": 2, "re": {"a": 0.4}, "im": [[0, 0], [0, 0]]}', "re has non-numeric entries"),
+    (STATE_TEXT % (2, BIG), "re has entries beyond the float range"),
+    (STATE_TEXT % ('"2"', 0.1), "dim must be a positive integer, got '2'"),
+    (STATE_TEXT % ("true", 0.1), "dim must be a positive integer, got True"),
+    (STATE_TEXT % (0, 0.1), "dim must be a positive integer, got 0"),
+    (STATE_TEXT % (2, "null"), "re has non-numeric entries"),
+    ('{"dim": 2, "re": [[0.6, 0.1], [0.1, 0.4]], "im": [[0, 0], [null, 0]]}',
+     "im has non-numeric entries"),
+    (STATE_TEXT % (3, 0.1), "matrix parts must be 3x3, got (2, 2) and (2, 2)"),
+])
+def test_malformed_state_files_fail_with_one_error_line(tmp_path, capsys, text, message):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(STATE_TEXT % (2, 0.1))
+    for args in (["validate", str(bad)],
+                 ["geodesic", "--state-a", str(bad), "--state-b", str(good)]):
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_state_file_numbers_decide_the_data_checks(tmp_path, capsys):
+    # an integral float dim is a dim; a NaN literal is data (a finding); a
+    # boolean inside a matrix part is read as a number, as numpy reads it
+    path = tmp_path / "state.json"
+    for dim, entry, code, out in (
+            (2.0, "0.1", 0, "OK: valid matrix\n"),
+            (2, "NaN", 1, "FAIL finite: non-finite (nan or inf) entries\n"),
+            (2, "false", 1, "FAIL hermiticity: max|rho - rho^dag| = 1.000e-01 > 1.0e-12\n")):
+        path.write_text(STATE_TEXT % (dim, entry))
+        assert cli.main(["validate", str(path)]) == code
+        assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    ('"a"', "loop point 1 has non-numeric coordinates"),
+    ("[2.0]", "loop point 1 has non-numeric coordinates"),
+    ("null", "loop point 1 has non-numeric coordinates"),
+    ("true", "loop point 1 has non-numeric coordinates"),
+    (BIG, "loop point 1 has coordinates beyond the float range"),
+    ("NaN", "loop point 1 has non-finite coordinates"),
+    ("-Infinity", "loop point 1 has non-finite coordinates"),
+])
+def test_malformed_loop_files_fail_with_one_error_line(tmp_path, capsys, coordinate, message):
+    path = tmp_path / "loop.json"
+    path.write_text('{"points": [[0.8, 0.0], [0.8, %s], [1.6, 2.0], [0.8, 0.0]]}' % coordinate)
+    assert cli.main(["holonomy", "--loop", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# --- every input file fails loudly -------------------------------------------
+
+FUZZ_DOCUMENTS = {
+    "state": {"dim": 2, "re": [[0.6, 0.1], [0.1, 0.4]], "im": [[0.0, 0.05], [-0.05, 0.0]]},
+    "loop": {"points": LOOP},
+    "grid": export_grid_model(BlochQubitModel(r=0.8), [np.array([0.3, 1.5, 2.8]),
+                                                       np.array([0.0, 6.0])]),
+    "config": {"grid": ["theta:0.3:2.8:3", "phi:0.1:6:3"], "format": "json", "workers": 1,
+               "scheme": "central:1e-4", "pole_margin": 0.1},
+}
+ODD_VALUES = [None, True, False, "a", "", float("nan"), float("inf"), -float("inf"), 10 ** 400,
+              -10 ** 400, 1e308, -1e308, 0, -1, 2, 1.5, [], {}, [[1.0, 2.0], [3.0]], [None],
+              {"a": 1}]
+
+
+def _json_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def malformed_inputs(draw):
+    """(kind, file bytes): a valid document of one kind after one or two edits
+    (a value dropped, retyped, nested or made ragged), written as JSON with
+    NaN/Infinity literals, then perhaps truncated or given a non-UTF-8 byte."""
+    kind = draw(st.sampled_from(sorted(FUZZ_DOCUMENTS)))
+    doc = copy.deepcopy(FUZZ_DOCUMENTS[kind])
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            doc = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+            continue
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        key, value = path[-1], holder[path[-1]]
+        edit = draw(st.sampled_from(["retype", "drop", "nest", "ragged"]))
+        if edit == "retype":
+            holder[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "drop":
+            del holder[key]
+        elif edit == "nest":
+            holder[key] = [value]
+        else:
+            holder[key] = value[:-1] if isinstance(value, list) and value else [value, [value]]
+    text = json.dumps(doc).encode()
+    damage = draw(st.sampled_from(["none", "none", "none", "truncate", "not-utf-8"]))
+    if damage != "none" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] if damage == "truncate" else text[:at] + b"\xff" + text[at + 1:]
+    return kind, text
+
+
+def _fuzz_commands(kind, path, good_state):
+    return {"state": [["validate", path],
+                      ["geodesic", "--state-a", path, "--state-b", good_state, "--samples", "3"]],
+            "loop": [["holonomy", "--loop", path, "--steps", "16"]],
+            "grid": [["validate", path], ["field", "--model", path]],
+            "config": [["field", "--config", path]]}[kind]
+
+
+@settings(max_examples=150)
+@given(case=malformed_inputs())
+@example(case=("state", (STATE_TEXT % (2, '"a"')).encode()))
+@example(case=("state", b'{"dim": 2, "re": [[0.6, 0.1], [0.4]], "im": [[0, 0], [0, 0]]}'))
+@example(case=("state", b'{"dim": 2, "re": {"a": 0.4}, "im": [[0, 0], [0, 0]]}'))
+@example(case=("state", (STATE_TEXT % (2, BIG)).encode()))
+@example(case=("state", (STATE_TEXT % ('"2"', 0.1)).encode()))
+@example(case=("state", (STATE_TEXT % ("true", 0.1)).encode()))
+@example(case=("state", (STATE_TEXT % (2, "null")).encode()))
+@example(case=("loop", b'{"points": [[0.8, 0.0], [0.8, "a"], [1.6, 2.0], [0.8, 0.0]]}'))
+@example(case=("loop", b'{"points": [[0.8, 0.0], [0.8, [2.0]], [1.6, 2.0], [0.8, 0.0]]}'))
+@example(case=("loop", b'{"points": [[0.8, 0.0], [0.8, null], [1.6, 2.0], [0.8, 0.0]]}'))
+@example(case=("loop", b'{"points": [[0.8, 0.0], [0.8, true], [1.6, 2.0], [0.8, 0.0]]}'))
+@example(case=("loop", ('{"points": [[0.8, 0.0], [0.8, %s], [1.6, 2.0], [0.8, 0.0]]}'
+                        % BIG).encode()))
+@example(case=("loop", b'{"points": [[0.8, 0.0], [Infinity, 2.0], [1.6, 2.0], [0.8, 0.0]]}'))
+@example(case=("grid", b'{"params": [{"name": "x", "grid": [0.0, true]}], "nodes": []}'))
+@example(case=("grid", b"[" * 100000))
+def test_malformed_input_files_fail_with_documented_exits(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, good = pathlib.Path(tmp, "input.json"), pathlib.Path(tmp, "good.json")
+        path.write_bytes(text)
+        good.write_text(STATE_TEXT % (2, 0.1))
+        for args in _fuzz_commands(kind, str(path), str(good)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(args + ["--output", str(pathlib.Path(tmp, "out"))]
+                                if args[0] != "validate" else args)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in ((0, 1, 2) if args[0] == "validate" else (0, 2, 3, 4)), (args, err)
+            if code == 1:  # validate's data findings
+                assert out and all(line.startswith("FAIL ") for line in out.splitlines())
+                assert err == ""
+            elif code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

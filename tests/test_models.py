@@ -17,6 +17,7 @@ from mixedqgt import (
     InvalidDensityAtNodeError,
     MixedQGTError,
     ModelFamily,
+    NoAnalyticDerivativesError,
     NotHermitianError,
     NotPSDError,
     OutOfDomainError,
@@ -34,7 +35,7 @@ from mixedqgt import (
 )
 from mixedqgt.models import derivative_stack
 from mixedqgt.qgt import msqgt_field
-from mixedqgt import models, states
+from mixedqgt import models, qgt, states
 from mixedqgt.states import check_density_stack, complex_matrix
 from conftest import counted, rand_herm, rand_unitary
 
@@ -162,6 +163,32 @@ def test_degenerate_ground_state_is_refused():
     model = ThermalModel(h, 2.0, ["x"], [(-1.0, 1.0)], check=False)
     with pytest.raises(DegenerateSpectrumError):
         model.ground_state([0.0])
+
+
+class _TraceTwoFamily(ModelFamily):
+    """A family without analytic derivatives whose states fail the trace check."""
+
+    def matrix_at(self, point):
+        return np.eye(2, dtype=complex)
+
+
+def test_families_without_analytic_derivatives_say_so():
+    thermal = ThermalModel(lambda point: float(point[0]) * SZ + SX, 2.0, ["x"], [(-1.0, 1.0)])
+    assert not thermal.analytic
+    broken = _TraceTwoFamily("broken", ["x"], [(0.0, 1.0)], check=False)
+    for model, name in ((thermal, "thermal"), (broken, "broken")):
+        for call in (lambda: model.analytic_derivative_matrices(np.array([0.5])),
+                     lambda: model.derivative_matrices_at(np.array([[0.25], [0.5]])),
+                     lambda: derivatives(model, [0.5], scheme="analytic"),
+                     # before any density check of the states
+                     lambda: msqgt_field(model, np.array([[0.25], [0.5]]), "analytic")):
+            with pytest.raises(NoAnalyticDerivativesError) as exc:
+                call()
+            assert str(exc.value) == f"family '{name}' declares no analytic derivatives"
+    with pytest.raises(TraceNotOneError):
+        msqgt_field(broken, np.array([[0.5]]), "central")
+    q, _, _ = msqgt_field(thermal, np.array([[0.5]]), "central")
+    assert q.shape == (1, 1, 1)
 
 
 def test_large_beta_freezes_to_ground_projector():
@@ -910,3 +937,23 @@ def test_a_node_line_at_a_registration_probe_loads(middle):
     assert np.abs(within - _hermitian(slopes[0])).max() <= 1e-13
     kink = np.abs(derivative_stack(model, point - 5e-6, "central")[0] - within).max()
     assert kink > 1e-3
+
+
+def test_uncertified_analytic_field_sweep_gathers_each_chunk_once(monkeypatch):
+    # an uncertified grid model's states and exact derivatives come from one
+    # corner gather per chunk too; the density checks of the states are added
+    monkeypatch.setattr(models, "_certified", lambda values, residuals: False)
+    model = load_grid_model(export_grid_model(
+        BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)]))
+    assert not model.certified
+    calls = defaultdict(int)
+    monkeypatch.setattr(states, "_eigh", counted(calls, "eigh", states._eigh))
+    monkeypatch.setattr(qgt, "derivative_stack", counted(calls, "central", qgt.derivative_stack))
+    monkeypatch.setattr(GridModel, "_corners", counted(calls, "_corners", GridModel._corners))
+    # 10 values per axis, none of them within 0.01 of a node line
+    axes = np.linspace(0.4, 2.7, 10), np.linspace(0.1, 6.1, 10)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    chunks = [points[i:i + 7] for i in range(0, len(points), 7)]
+    for chunk in chunks:
+        msqgt_field(model, chunk, "analytic")
+    assert calls == {"eigh": len(chunks), "_corners": len(chunks)}
