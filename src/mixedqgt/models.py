@@ -371,22 +371,25 @@ class BlochQubitModel(ModelFamily):
         return psi, tangents
 
 
-def _check_hermitian(mat, what):
-    mat = np.asarray(mat, dtype=complex)
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if not asym <= 1e-10:
-        raise NotHermitianError(f"{what} not Hermitian: max|H - H^dag| = {asym:.3e}")
-    return mat
+def _check_hermitian(mats, what):
+    """Refuse a stack of matrices (last two axes) unless each is Hermitian within
+    1e-10; the first failing one, in C order, names its residual (NaN fails)."""
+    asym = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).ravel()
+    if not asym.max() <= 1e-10:
+        raise NotHermitianError(f"{what} not Hermitian: max|H - H^dag| ="
+                                f" {asym[(~(asym <= 1e-10)).argmax()]:.3e}")
 
 
 class ThermalModel(ModelFamily):
     """Gibbs family rho = exp(-beta H(x)) / Z(x) of a Hamiltonian map.
 
     ``hamiltonian`` maps a chart point to a Hermitian matrix;
-    ``d_hamiltonian``, if given, maps a point to the list of its parameter
-    derivatives and enables the analytic density derivatives (exact
-    Frechet derivative of the matrix exponential via first divided
-    differences of exp(-beta E) in the instantaneous eigenbasis).
+    ``d_hamiltonian``, if given, maps a point to its parameter derivatives (a
+    list or an (n, N, N) array) and enables the analytic density derivatives:
+    the exact Frechet derivative of the matrix exponential via first divided
+    differences of exp(-beta E) in the instantaneous eigenbasis.  Both are
+    called once per point.  The stacked methods evaluate (K, n) stacks of
+    points in one pass (``_gibbs``); the per-point ones are its K = 1 case.
     """
 
     def __init__(self, hamiltonian, beta, param_labels, domain,
@@ -400,47 +403,59 @@ class ThermalModel(ModelFamily):
         self.analytic = d_hamiltonian is not None
         super().__init__(name, param_labels, domain, check=check)
 
-    def _spectrum(self, point):
-        h = _check_hermitian(self.hamiltonian(np.asarray(point, dtype=float)),
-                             "Hamiltonian")
-        energies, vecs = states._eigh(h)
-        return energies - energies[0], vecs
-
     def matrix_at(self, point):
-        shifted, vecs = self._spectrum(point)
-        weights = np.exp(-self.beta * shifted)
-        weights /= weights.sum()
-        return (vecs * weights) @ vecs.conj().T
+        return self.matrices_at(np.asarray(point, dtype=float)[None])[0]
 
     def analytic_derivative_matrices(self, point):
-        if not self.analytic:
-            return super().analytic_derivative_matrices(point)
-        point = np.asarray(point, dtype=float)
-        shifted, vecs = self._spectrum(point)
+        return self.derivative_matrices_at(np.asarray(point, dtype=float)[None])[0]
+
+    def matrices_at(self, points):
+        return self._gibbs(points)[2]
+
+    def derivative_matrices_at(self, points):
+        return self._gibbs(points, slopes=True)[3]
+
+    def matrices_and_derivatives_at(self, points):
+        return self._gibbs(points, slopes=True)[2:]
+
+    def _gibbs(self, points, slopes=False):
+        """Shifted spectra E - E_min (K, N), eigenvectors, states and, with ``slopes``,
+        derivatives (K, n, N, N) (else None) at a (K, n) stack of points.  All the
+        Hamiltonians are checked, then decomposed by one ``states._eigh``, before
+        any derivative is checked; each stack by one Hermitian check."""
+        if slopes and not self.analytic:  # raises NoAnalyticDerivativesError
+            ModelFamily.analytic_derivative_matrices(self, points)
+        points = np.asarray(points, dtype=float)
+        hs = np.array([self.hamiltonian(p) for p in points], dtype=complex)
+        _check_hermitian(hs, "Hamiltonian")
+        energies, vecs = states._eigh(hs)
+        shifted = energies - energies[:, :1]
         boltz = np.exp(-self.beta * shifted)
-        z = boltz.sum()
-        rho = (vecs * (boltz / z)) @ vecs.conj().T
-        # First divided differences of exp(-beta E) on the shifted spectrum;
+        z = boltz.sum(axis=-1)
+        vecs_dag = vecs.conj().swapaxes(-1, -2)
+        rho = np.matmul(vecs * (boltz / z[:, None])[:, None, :], vecs_dag)
+        if not slopes:
+            return shifted, vecs, rho, None
+        dhs = np.array([self.d_hamiltonian(p) for p in points], dtype=complex)
+        _check_hermitian(dhs, "Hamiltonian derivative")
+        # First divided differences of exp(-beta E) on the shifted spectra;
         # the overall exp(-beta E_min) scale cancels between dX and Z.  The
         # difference is taken from the smaller energy so the expm1 argument
         # stays nonpositive and nothing overflows at large beta.
-        gaps = np.abs(shifted[None, :] - shifted[:, None])
-        lo = np.minimum(shifted[:, None], shifted[None, :])
+        gaps = np.abs(shifted[:, None, :] - shifted[:, :, None])
+        lo = np.minimum(shifted[:, :, None], shifted[:, None, :])
         small = gaps < 1e-13
         safe = np.where(small, 1.0, gaps)
         table = np.exp(-self.beta * lo) * np.expm1(-self.beta * safe) / safe
         table[small] = (-self.beta * np.exp(-self.beta * lo))[small]
-        out = []
-        for dh in self.d_hamiltonian(point):
-            dh = _check_hermitian(dh, "Hamiltonian derivative")
-            dh_tilde = vecs.conj().T @ dh @ vecs
-            dx = vecs @ (table * dh_tilde) @ vecs.conj().T
-            out.append((dx - rho * np.trace(dx).real) / z)
-        return out
+        dh_tilde = np.matmul(np.matmul(vecs_dag[:, None], dhs), vecs[:, None])
+        dx = np.matmul(np.matmul(vecs[:, None], table[:, None] * dh_tilde), vecs_dag[:, None])
+        dx -= rho[:, None] * dx.trace(axis1=-2, axis2=-1).real[..., None, None]
+        return shifted, vecs, rho, dx / z[:, None, None, None]
 
     def ground_state(self, point):
         """Phase-fixed ground eigenvector of H(point)."""
-        shifted, vecs = self._spectrum(self.check_point(point))
+        shifted, vecs = (x[0] for x in self._gibbs(self.check_point(point)[None])[:2])
         if len(shifted) > 1 and shifted[1] < 1e-12:
             raise DegenerateSpectrumError(
                 f"ground gap {shifted[1]:.3e} < 1.0e-12: ground state undefined"
@@ -458,10 +473,6 @@ def _rotated_field_h(point, gap):
     return 0.5 * gap * _pauli(1.0, *_bloch_axis(point[0], point[1]))
 
 
-def _rotated_field_dh(point, gap):
-    return list(_bloch_derivatives(point, gap))
-
-
 def rotated_field_qubit(beta, gap=0.5):
     """Thermal qubit with Hamiltonian gap * (I + n(theta, phi) . sigma)/2.
 
@@ -475,7 +486,7 @@ def rotated_field_qubit(beta, gap=0.5):
     return ThermalModel(
         partial(_rotated_field_h, gap=gap), beta, ("theta", "phi"),
         ((0.0, np.pi), (0.0, 2 * np.pi)),
-        d_hamiltonian=partial(_rotated_field_dh, gap=gap),
+        d_hamiltonian=partial(_bloch_derivatives, scale=gap),
         name="thermal-qubit",
     )
 
@@ -678,7 +689,10 @@ def load_grid_model(source, check=True, validate_nodes=True):
         _require(isinstance(grid, list) and len(grid) >= 2,
                  f"params[{k}].grid must list >= 2 values")
         grid = states._json_floats(grid, f"params[{k}].grid", ndim=1, finite=True)
-        _require(bool(np.all(np.diff(grid) > 0)),
+        with np.errstate(over="ignore"):  # an overflowing difference is refused below
+            span, steps = grid[-1] - grid[0], np.diff(grid)
+        _require(bool(np.isfinite(span)), f"params[{k}].grid has a span beyond the float range")
+        _require(bool(np.all(steps > 0)),
                  f"params[{k}].grid must be strictly increasing")
         names.append(entry["name"])
         grids.append(grid)

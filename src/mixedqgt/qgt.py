@@ -26,7 +26,7 @@ from .errors import (
 from . import states
 from .states import RANK_TOL, _matmul, check_density_stack
 from .bundle import EnvOperator, _tangent_matrix, connection, env_action, env_expectation
-from .models import DEFAULT_FD_STEP, derivative_stack, derivatives
+from .models import DEFAULT_FD_STEP, derivative_stack
 
 STRUCTURE_TOL = 1e-9
 METRIC_PSD_TOL = 1e-9
@@ -288,31 +288,26 @@ class ThermalSweepResult:
 def thermal_limit_sweep(model, point, betas):
     """Sweep the tensor of a thermal family toward the zero-temperature limit.
 
-    For each beta the spectral-route tensor is compared (max-abs entry
-    difference) against the pure-state tensor of the ground-state family.
-    The sweep truncates, recording ``truncated_at``, once the thermal
-    state falls below the rank floor.
+    For each beta the spectral-route tensor, ``msqgt_field`` at the one point
+    (analytic derivatives if the family has them, else central differences),
+    is compared (max-abs entry difference) against the pure-state tensor of
+    the ground-state family.  The sweep truncates, recording
+    ``truncated_at``, once the thermal state falls below the rank floor.
     """
     point = np.asarray(point, dtype=float)
     h = DEFAULT_FD_STEP
     xi = model.ground_state(point)
-    n = len(point)
-    dxi = []
-    for mu in range(n):
-        offset = np.zeros(n)
-        offset[mu] = h
-        dxi.append((model.ground_state(point + offset)
-                    - model.ground_state(point - offset)) / (2 * h))
-    pure = pure_qgt(xi, dxi, chart=list(model.param_labels))
+    dxi = [(model.ground_state(point + offset) - model.ground_state(point - offset)) / (2 * h)
+           for offset in h * np.eye(len(point))]
+    pure = pure_qgt(xi, dxi, chart=model.param_labels)
 
+    scheme = "analytic" if model.analytic else "central"
     entries = []
     truncated_at = None
     for beta in betas:
-        mb = model.with_beta(beta)
-        rho = mb.evaluate(point)
-        drho = derivatives(mb, point, "analytic" if mb.analytic else "central", h)
         try:
-            q = msqgt_eigenroute(rho, drho, chart=list(model.param_labels))
+            q = QGTensor(msqgt_field(model.with_beta(beta), point[None], scheme, h)[0][0],
+                         chart=model.param_labels)
         except RankDeficientError:
             truncated_at = float(beta)
             break

@@ -173,13 +173,6 @@ def _order_spectrum(vals, vecs):
     return vals, vecs
 
 
-def check_finite(mat):
-    """Refuse a matrix with NaN or infinite entries before arithmetic on it."""
-    if not np.isfinite(mat).all():
-        raise ValidationError("density matrix has non-finite (nan or inf) entries")
-    return mat
-
-
 def _density_residuals(mats, vectors=False, certified=None):
     """Residuals of the density checks for each item of a (K, N, N) stack:
     all entries finite, max|rho - rho^dag|, |Tr rho - 1| and the lowest
@@ -230,7 +223,7 @@ def check_density_stack(mats, vectors=True, certified=None):
 def _check_residuals(mats, finite, herm_err, trace_err, low):
     """The stages of ``check_density_stack`` on the residuals of ``mats``."""
     if not finite.all():
-        check_finite(mats)
+        raise ValidationError("density matrix has non-finite (nan or inf) entries")
     if not herm_err.max() <= CONSTRUCTION_TOL:
         k = (~(herm_err <= CONSTRUCTION_TOL)).argmax()
         raise NotHermitianError(f"not Hermitian: max|rho - rho^dag| = {herm_err[k]:.3e}"
@@ -518,5 +511,6 @@ def _read_json(source):
 
 
 def load_matrix(path):
-    """Read a matrix JSON file for construction, refusing non-finite entries."""
-    return check_finite(matrix_from_json(_read_json(path)))
+    """Read a matrix JSON file; its entries may be NaN or infinite, which
+    ``DensityMatrix`` refuses before any arithmetic on them."""
+    return matrix_from_json(_read_json(path))

@@ -38,7 +38,7 @@ from .errors import (
 )
 from . import states
 from .states import (RANK_TOL, DensityMatrix, DensityStack, Purification, _by_item as _by_node,
-                     _matmul, check_norm_stack, chunks, purify, root_fidelity)
+                     _matmul, check_norm_stack, chunks, root_fidelity)
 from .bundle import _check_unitary, connection, env_expectation
 
 PROJECTION_TOL = 1e-8
@@ -93,10 +93,6 @@ def _check_times(times):
     if times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValidationError("times must be strictly increasing with >= 2 nodes")
     return times
-
-
-def _as_density(value):
-    return value if isinstance(value, DensityMatrix) else DensityMatrix(value)
 
 
 def _canonical_nodes(base_curve, times):
@@ -289,7 +285,9 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
              convergence_check=True):
     """Uhlmann holonomy of a closed base curve on [0, 1].
 
-    The loop must close to CLOSURE_TOL in max-abs entry distance.  If the
+    The loop's first and last nodes (t = 0 and 1, evaluated and checked with
+    all the others) must agree to CLOSURE_TOL in max-abs entry distance, and
+    the default start is the spectral purification of its first node.  If the
     node-to-node reference overlap drops to OVERLAP_MIN or below, the step
     count is doubled (up to MAX_STEPS) before giving up with
     CoarseGridError.  The unitary U maps the start purification to its
@@ -297,16 +295,6 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
     is <psi_start|psi_end>.  The convergence estimate is the change of the
     mean holonomy against a run at half resolution.
     """
-    rho0 = _as_density(base_curve(0.0))
-    rho1 = _as_density(base_curve(1.0))
-    gap = float(np.max(np.abs(rho1.mat - rho0.mat)))
-    if gap > CLOSURE_TOL:
-        raise NotClosedError(
-            f"curve endpoints differ by {gap:.3e} > {CLOSURE_TOL:.1e}"
-        )
-    if psi_start is None:
-        psi_start = purify(rho0)
-
     n = int(steps)
     if n < 2:
         raise ValidationError(f"need at least 2 steps, got {n}")
@@ -314,7 +302,14 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
         raise ValidationError(f"steps = {n} exceeds MAX_STEPS = {MAX_STEPS}")
     while True:
         times = np.linspace(0.0, 1.0, n + 1)
-        nodes = _canonical_nodes(base_curve, times)
+        nodes = _canonical_nodes(base_curve, times)  # (base matrices, roots)
+        gap = float(np.max(np.abs(nodes[0][-1] - nodes[0][0])))
+        if gap > CLOSURE_TOL:
+            raise NotClosedError(
+                f"curve endpoints differ by {gap:.3e} > {CLOSURE_TOL:.1e}"
+            )
+        if psi_start is None:
+            psi_start = Purification.from_matrix(nodes[1][0])
         try:
             u_hol = _holonomy_once(times, *nodes, psi_start, reference_gauge)
             break
@@ -370,7 +365,8 @@ def gauge_conjugation_check(base_curve, u0, psi_start=None, steps=DEFAULT_STEPS,
     """
     u0 = _check_unitary(u0)
     first = holonomy(base_curve, psi_start=psi_start, steps=steps, **kw)
-    start = psi_start if psi_start is not None else purify(_as_density(base_curve(0.0)))
+    start = psi_start if psi_start is not None else Purification.from_matrix(
+        _canonical_nodes(base_curve, np.zeros(1))[1][0])
     moved = Purification.from_matrix(start.amplitude_matrix @ u0.T)
     second = holonomy(base_curve, psi_start=moved, steps=steps, **kw)
     conj = u0 @ first.unitary @ u0.conj().T

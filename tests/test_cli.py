@@ -801,6 +801,11 @@ def test_analytic_field_sweep_gathers_each_chunk_once(tmp_path, monkeypatch):
     (b'{"params": [{"name": "x", "grid": [0, 1]}], "nodes": [{"index": [0],'
      b' "re": [[1]], "im": 0}, {"index": [1], "re": [[1]], "im": [[0]]}]}',
      "error: nodes[0] has non-numeric matrix entries\n"),
+    # a finite axis whose span, or a difference, overflows (no RuntimeWarning first)
+    (b'{"params": [{"name": "x", "grid": [-1e308, 0, 1e308]}], "nodes": []}',
+     "error: params[0].grid has a span beyond the float range\n"),
+    (b'{"params": [{"name": "x", "grid": [-1e308, 1e308]}], "nodes": []}',
+     "error: params[0].grid has a span beyond the float range\n"),
 ])
 def test_malformed_grid_model_files_fail_with_one_error_line(tmp_path, capsys, text, message):
     path = tmp_path / "grid.json"

@@ -5,7 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from mixedqgt import (
     BlochQubitModel,
@@ -42,6 +42,7 @@ from conftest import counted, rand_herm, rand_unitary
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+ASYM_3 = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])  # max|A - A^dag| = 2
 
 
 def test_bloch_model_matrix():
@@ -154,6 +155,100 @@ def test_ground_state_is_lowest_eigenvector():
     vals = np.linalg.eigvalsh(h)
     assert np.linalg.norm(h @ xi - vals[0] * xi) < 1e-12
     assert np.isclose(np.linalg.norm(xi), 1.0, atol=1e-12)
+
+
+def _indexed_thermal(hs, dhs, beta):
+    """Thermal family whose point (k + 1/2, y) has Hamiltonian hs[k] and derivatives dhs[k]."""
+    return ThermalModel(lambda p: hs[int(p[0])], beta, ("k", "y"),
+                        ((0.0, len(hs)), (0.0, 1.0)), d_hamiltonian=lambda p: list(dhs[int(p[0])]),
+                        check=False)
+
+
+def _gibbs_oracle(h, dhs, beta):
+    """exp(-beta H) / Z by ``expm`` and its derivatives along dhs by ``expm_frechet``
+    and the quotient rule, with H shifted to a zero ground energy."""
+    a = -beta * (h - np.linalg.eigvalsh(h)[0] * np.eye(len(h)))
+    x = expm(a)
+    z = np.trace(x).real
+    rho = x / z
+    dx = [expm_frechet(a, -beta * dh, compute_expm=False) for dh in dhs]
+    return rho, [(d - rho * np.trace(d).real) / z for d in dx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), count=st.integers(1, 5), beta=st.floats(0.1, 50.0),
+       tie=st.sampled_from([None, 0.0, 4e-14]), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_gibbs_states_are_the_oracle_and_the_per_point_rows(n, count, beta, tie, seed):
+    # both sides of the closed-form 2 x 2 seam; with a tie, two of item 0's
+    # energies are closer than 1e-13, so its divided differences take the limit
+    rng = np.random.default_rng(seed)
+    hs = []
+    for k in range(count):
+        energies = rng.uniform(-1.0, 1.0, n)
+        if tie is not None and k == 0:
+            energies[1] = energies[0] + tie
+        u = rand_unitary(rng, n)
+        hs.append((u * energies) @ u.conj().T)
+    dhs = [[rand_herm(rng, n) for _ in range(2)] for _ in range(count)]
+    model = _indexed_thermal(hs, dhs, beta)
+    points = np.column_stack([np.arange(count) + 0.5, rng.uniform(0.0, 1.0, count)])
+    mats, drho = model.matrices_and_derivatives_at(points)
+    assert model.matrices_at(points).tobytes() == mats.tobytes()
+    assert model.derivative_matrices_at(points).tobytes() == drho.tobytes()
+    for k, point in enumerate(points):
+        assert model.matrix_at(point).tobytes() == mats[k].tobytes()
+        assert model.analytic_derivative_matrices(point).tobytes() == drho[k].tobytes()
+        rho, d_rho = _gibbs_oracle(hs[k], dhs[k], beta)
+        assert np.abs(mats[k] - rho).max() <= 1e-12
+        assert np.abs(drho[k] - d_rho).max() <= 1e-12 * beta
+
+
+def test_stacked_hamiltonian_check_names_the_first_failing_item():
+    rng = np.random.default_rng(31)
+    hs = [rand_herm(rng, 3) for _ in range(4)]
+    dhs = [[rand_herm(rng, 3) for _ in range(2)] for _ in range(4)]
+    model = _indexed_thermal(hs, dhs, 2.0)
+    points = np.column_stack([np.arange(4) + 0.5, np.full(4, 0.5)])
+    for call in (model.matrices_at, model.derivative_matrices_at,
+                 model.matrices_and_derivatives_at):
+        call(points)
+    # the first failing item names its residual, not the largest one
+    dhs[1][1] = dhs[1][1] + 3e-4 * ASYM_3
+    dhs[2][0] = dhs[2][0] + 4e-3 * ASYM_3
+    with pytest.raises(NotHermitianError) as exc:
+        model.derivative_matrices_at(points)
+    assert str(exc.value) == "Hamiltonian derivative not Hermitian: max|H - H^dag| = 6.000e-04"
+    hs[3] = hs[3] + 5e-3 * ASYM_3  # every Hamiltonian is checked before any derivative
+    hs[2] = hs[2] + 1e-3 * ASYM_3
+    for call in (model.matrices_at, model.derivative_matrices_at,
+                 model.matrices_and_derivatives_at):
+        with pytest.raises(NotHermitianError) as exc:
+            call(points)
+        assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = 2.000e-03"
+    with pytest.raises(NotHermitianError) as exc:
+        model.matrix_at(points[3])
+    assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = 1.000e-02"
+
+
+@pytest.mark.parametrize("scheme, stacks", [("analytic", 1), ("central", 2)])
+def test_thermal_field_sweep_decomposes_each_stack_once(monkeypatch, scheme, stacks):
+    # per chunk: one Gibbs pass over its points (and one over its central
+    # neighbours), each with one eigh of the Hamiltonians, and one eigh of the
+    # chunk's states; the user's callables are still called once per point
+    model = rotated_field_qubit(1.0)
+    calls = defaultdict(int)
+    model.hamiltonian = counted(calls, "hamiltonian", model.hamiltonian)
+    model.d_hamiltonian = counted(calls, "d_hamiltonian", model.d_hamiltonian)
+    monkeypatch.setattr(states, "_eigh", counted(calls, "eigh", states._eigh))
+    monkeypatch.setattr(ThermalModel, "_gibbs", counted(calls, "_gibbs", ThermalModel._gibbs))
+    axes = np.linspace(0.4, 2.7, 10), np.linspace(0.1, 6.1, 10)
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    chunks = [points[i:i + 7] for i in range(0, len(points), 7)]
+    for chunk in chunks:
+        msqgt_field(model, chunk, scheme)
+    assert calls == {"_gibbs": stacks * len(chunks), "eigh": (stacks + 1) * len(chunks),
+                     "hamiltonian": len(points) * (1 if scheme == "analytic" else 5),
+                     **({"d_hamiltonian": len(points)} if scheme == "analytic" else {})}
 
 
 def test_degenerate_ground_state_is_refused():

@@ -15,6 +15,7 @@ from mixedqgt import (
     NotHermitianError,
     NotPSDError,
     NotUnitaryError,
+    OutOfDomainError,
     Purification,
     RankDeficientError,
     ValidationError,
@@ -100,6 +101,24 @@ def test_holonomy_requires_closed_curve():
 
     with pytest.raises(NotClosedError):
         holonomy(open_curve, steps=64)
+
+
+def test_closure_and_default_start_come_from_the_checked_nodes():
+    # the closure gap is measured on the node stack, so a loop that is both
+    # open and outside the domain names its first node outside (not t = 1)
+    model = BlochQubitModel(r=0.8)
+    with pytest.raises(OutOfDomainError) as exc:
+        holonomy(ChartLoop(model, [[1.0, 6.0], [1.5, 6.2], [2.0, 7.0]]), steps=64)
+    assert str(exc.value) == "phi = 6.3 outside [0.0, 6.283185307179586]"
+    with pytest.raises(NotClosedError) as exc:
+        holonomy(ChartLoop(model, [[1.0, 1.0], [1.5, 2.0], [2.0, 1.5]]), steps=64)
+    assert str(exc.value) == "curve endpoints differ by 3.826e-01 > 1.0e-10"
+    # the default start is node 0's spectral purification, bit for bit
+    loop = ChartLoop(model, [[1.0, 1.0], [1.5, 2.0], [2.0, 1.5], [1.0, 1.0]])
+    default, explicit = (holonomy(loop, psi_start=start, steps=64)
+                         for start in (None, purify(loop(0.0))))
+    assert default.unitary.tobytes() == explicit.unitary.tobytes()
+    assert default.mean_holonomy == explicit.mean_holonomy
 
 
 def test_holonomy_step_bounds():
