@@ -10,7 +10,7 @@ Subcommands
 Exit codes: 0 success; 1 validation findings; 2 usage/config/schema
 problems; 3 invalid input data (failed state or model validation);
 4 numerical refusals (rank floor, angle margin, open loop, coarse grid,
-domain violations).
+domain violations, a central step that leaves a coordinate unchanged).
 """
 
 import argparse

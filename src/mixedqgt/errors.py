@@ -46,7 +46,8 @@ class NonHermitianDerivativeError(ValidationError):
 
 
 class InconsistentStencilError(MixedQGTError, ValueError):
-    """Connection samples on a finite-difference stencil jump between gauges."""
+    """A finite-difference stencil that fails: its connection samples jump
+    between gauges, or its step vanishes against a coordinate."""
 
 
 class AngleOutOfRangeError(MixedQGTError, ValueError):

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
+    InconsistentStencilError,
     InvalidDensityAtNodeError,
     NoAnalyticDerivativesError,
     NotHermitianError,
@@ -213,7 +214,9 @@ def _grid_states(model, axes):
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
     def checked(p):
-        return check_density_stack(model.matrices_at(model.check_points(p)), vectors=False)
+        mats = model.matrices_at(model.check_points(p))
+        check_density_stack(mats, vectors=False)
+        return mats
     dim = model.matrices_at(model.check_points(points[:1])).shape[-1]  # sets the chunk size
     for s in chunks(len(points), dim):
         yield from _by_item(checked, points[s])
@@ -233,28 +236,24 @@ def derivatives(model, point, scheme="central", h=DEFAULT_FD_STEP, return_residu
     return (mats, float(worst[0])) if return_residual else mats
 
 
-def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=None,
-                     residual=False):
+def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, residual=False):
     """``derivatives`` at a (K, n) stack of points, with the worst discarded
-    asymmetry of each point if ``residual`` (else None); all 2n central-difference
-    neighbours of every point are evaluated and validated as one stack.
-
-    ``centre`` is ``(mats, lowest)``: the (K, N, N) states at ``points``, as
-    already checked and decomposed by the caller, and the smallest eigenvalue
-    of each one's Hermitian part.  It certifies a neighbour rho with
-    ||rho - centre||_F <= lowest as PSD: by Weyl's inequality the Hermitian
-    part of rho then has no eigenvalue below lowest - ||rho - centre||_2 >= 0,
-    up to the centre's ``eigh`` rounding (about N eps), far inside
-    CONSTRUCTION_TOL.  Only uncertified neighbours are decomposed for the PSD
-    check; every neighbour still gets the finite, Hermitian and trace checks,
-    and the first failing one raises exactly as without ``centre``.  A
-    ``certified`` model checks no neighbour.
+    asymmetry of each point if ``residual`` (else None).  A step h that leaves
+    a coordinate unchanged (x + h == x or x - h == x) raises
+    InconsistentStencilError.  All 2n central-difference neighbours of every
+    point are evaluated as one stack and, unless the model is ``certified``,
+    get every density check as one stack: the first failing one raises.
     """
     if scheme == "analytic":  # a family without them raises NoAnalyticDerivativesError
         return model.derivative_matrices_at(model.check_points(points)), np.zeros(len(points))
     if scheme != "central":
         raise ValidationError(f"unknown derivative scheme {scheme!r}")
     model.check_points(points, margin=h)
+    lost = (points + h == points) | (points - h == points)
+    if lost.any():
+        k, nu = np.unravel_index(lost.argmax(), lost.shape)
+        raise InconsistentStencilError(f"central step h = {h!r} vanishes against"
+                                       f" {model.param_labels[nu]} = {float(points[k, nu])!r}")
     count, n = points.shape
     steps = h * np.eye(n)
     # neighbour (k, nu, side) is points[k] + h e_nu (side 0) or - h e_nu (side 1)
@@ -262,17 +261,7 @@ def derivative_stack(model, points, scheme="central", h=DEFAULT_FD_STEP, centre=
     mats = model.matrices_at(model.check_points(neighbours))
     mats = mats.reshape(count, n, 2, *mats.shape[-2:])
     if not model.certified:
-        certified = None
-        if centre is not None:
-            centre_mats, lowest = centre
-            # ||rho - centre||_F^2 sums the squares of the real and imaginary
-            # parts; a huge or non-finite neighbour gets an inf or NaN: uncertified
-            with np.errstate(over="ignore", invalid="ignore"):
-                parts = (mats - centre_mats[:, None, None]).view(float)
-                dist = np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-            certified = (dist <= lowest[:, None, None]).ravel()
-        check_density_stack(mats.reshape(-1, *mats.shape[-2:]), vectors=False,
-                            certified=certified)
+        check_density_stack(mats.reshape(-1, *mats.shape[-2:]), vectors=False)
     diff = np.subtract(mats[:, :, 0], mats[:, :, 1])
     diff /= 2 * h
     dag = diff.conj().swapaxes(-1, -2)
@@ -729,7 +718,7 @@ def load_grid_model(source, check=True, validate_nodes=True):
     residuals = None
     if validate_nodes:
         at = np.array(list(seen))
-        residuals = [_by_item(_checked_residuals, values[tuple(at[s].T)],
+        residuals = [_by_item(partial(check_density_stack, vectors=False), values[tuple(at[s].T)],
                               label=lambda k, exc, s=s: InvalidDensityAtNodeError(
                                   f"node {at[s][k].tolist()}: {exc}"))
                      for s in chunks(len(at), values.shape[-1])]
@@ -738,10 +727,3 @@ def load_grid_model(source, check=True, validate_nodes=True):
     if check:
         model._registration_check()
     return model
-
-
-def _checked_residuals(mats):
-    """``check_density_stack(mats, vectors=False)``, returning the residuals."""
-    residuals = states._density_residuals(mats)[:4]
-    states._check_residuals(mats, *residuals)
-    return residuals

@@ -154,18 +154,18 @@ def msqgt_eigenroute(rho, drho_list, chart=None):
 def msqgt_field(model, points, scheme="analytic", h=DEFAULT_FD_STEP):
     """``msqgt_eigenroute(model.evaluate(x), derivatives(model, x, scheme, h))``
     at a (K, n) stack of chart points x, with the same checks in the same order
-    per stage, batched; the decomposed states certify their central-difference
-    neighbours as PSD (see ``derivative_stack``).  Under the analytic scheme the
-    states come with their derivatives from one ``matrices_and_derivatives_at``
-    call, so a family without analytic derivatives raises before any density
-    check.  The states of a ``certified`` model are decomposed unchecked; the
+    per stage, batched; ``derivative_stack`` checks the central-difference
+    neighbours.  Under the analytic scheme the states come with their
+    derivatives from one ``matrices_and_derivatives_at`` call, so a family
+    without analytic derivatives raises before any density check.  The states
+    (and neighbours) of a ``certified`` model are decomposed unchecked; the
     rank floor still holds.  Returns Q (K, n, n) and the sym/antisym residuals."""
     model.check_points(points)
     mats, drho = model.matrices_and_derivatives_at(points) if scheme == "analytic" else (
         model.matrices_at(points), None)
     p, basis = (states._hermitian_eigh if model.certified else check_density_stack)(mats)
     if drho is None:
-        drho, _ = derivative_stack(model, points, scheme, h, centre=(mats, p[:, 0]))
+        drho, _ = derivative_stack(model, points, scheme, h)
     if not p[:, 0].min() > RANK_TOL:
         k = (~(p[:, 0] > RANK_TOL)).argmax()
         raise RankDeficientError(

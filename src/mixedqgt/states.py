@@ -173,13 +173,13 @@ def _order_spectrum(vals, vecs):
     return vals, vecs
 
 
-def _density_residuals(mats, vectors=False, certified=None):
+def _density_residuals(mats, vectors=False):
     """Residuals of the density checks for each item of a (K, N, N) stack:
     all entries finite, max|rho - rho^dag|, |Tr rho - 1| and the lowest
-    eigenvalue of (rho + rho^dag) / 2, taken as 0 for ``certified`` items (no
-    ``eigvalsh``).  Non-finite items are zeroed before any arithmetic, and
-    entries near the float maximum give inf residuals without a warning.
-    Last comes the ascending ``eigh`` of the Hermitian parts with ``vectors``."""
+    eigenvalue of (rho + rho^dag) / 2.  Non-finite items are zeroed before any
+    arithmetic, and entries near the float maximum give inf residuals without a
+    warning.  Last comes the ascending ``eigh`` of the Hermitian parts with
+    ``vectors`` (else None)."""
     finite = np.isfinite(mats).all(axis=(-2, -1))
     if not finite.all():
         mats = np.where(finite[:, None, None], mats, 0.0)
@@ -192,10 +192,7 @@ def _density_residuals(mats, vectors=False, certified=None):
         spectrum = _hermitian_eigh(mats, dag)
         low = spectrum[0][:, 0]
     else:
-        low = np.zeros(len(mats))
-        todo = np.ones(len(mats), dtype=bool) if certified is None else ~certified
-        if todo.any():
-            low[todo] = _eigvalsh(0.5 * mats[todo] + 0.5 * dag[todo])[:, 0]
+        low = _eigvalsh(0.5 * mats + 0.5 * dag)[:, 0]
     return finite, herm_err, trace_err, low, spectrum
 
 
@@ -207,17 +204,16 @@ def _hermitian_eigh(mats, dag=None):
     return _eigh(0.5 * mats + 0.5 * dag)
 
 
-def check_density_stack(mats, vectors=True, certified=None):
+def check_density_stack(mats, vectors=True):
     """DensityMatrix checks over a (K, N, N) stack (see ``_density_residuals``):
     finite entries, then Hermitian, then unit trace and PSD, each within
     CONSTRUCTION_TOL; the first failing matrix of a stage raises.  Returns the
-    ascending eigenvalues (K, N) of the Hermitian parts and their eigenvectors.
-    Without ``vectors`` it only checks and returns ``mats``; then ``certified``,
-    a (K,) mask of matrices whose Hermitian parts are already known to be PSD,
-    skips their ``eigvalsh`` (see ``models.derivative_stack``)."""
-    finite, herm_err, trace_err, low, spectrum = _density_residuals(mats, vectors, certified)
-    _check_residuals(mats, finite, herm_err, trace_err, low)
-    return spectrum if vectors else mats
+    ascending eigenvalues (K, N) of the Hermitian parts and their eigenvectors;
+    without ``vectors``, the four (K,) residual arrays (finite, Hermitian and
+    trace errors, lowest eigenvalue) from one ``eigvalsh``."""
+    *residuals, spectrum = _density_residuals(mats, vectors)
+    _check_residuals(mats, *residuals)
+    return spectrum if vectors else residuals
 
 
 def _check_residuals(mats, finite, herm_err, trace_err, low):

@@ -41,3 +41,10 @@ def test_grid_model_parameters_that_no_caller_set_are_gone():
     assert "name" not in signatures["models.load_grid_model"].parameters
     assert "name" not in signatures["models.GridModel"].parameters
     assert mixedqgt.GridModel(["x"], [[0.0, 1.0]], [[[1.0]], [[1.0]]]).name == "grid-model"
+
+
+def test_neighbour_certificate_parameters_are_gone():
+    # every central-difference neighbour of an uncertified model gets the full check
+    signatures = dict(_public_signatures())
+    assert "centre" not in signatures["models.derivative_stack"].parameters
+    assert "certified" not in signatures["states.check_density_stack"].parameters

