@@ -258,21 +258,18 @@ def _check_unitary(u, tol=UNITARITY_TOL):
 
 
 def gauge_transform_curve(samples, unitaries, d_unitaries):
-    """Apply a local environment gauge to sampled (psi, dpsi) pairs.
+    """Apply a local environment gauge to a sampled curve.
 
-    ``unitaries`` and ``d_unitaries`` are the gauge and its parameter
-    derivative evaluated at the same nodes as ``samples``.  Then
-    psi' = (I (x) U) psi and dpsi' = (I (x) U) dpsi + (I (x) dU) psi.
-    Returns the transformed samples; raises NotUnitaryError if any U fails
-    the unitarity check.
+    ``samples`` is a pair (W, dW) of (K, N, N) stacks, the amplitude matrices
+    of the curve's nodes and their tangents; ``unitaries`` and
+    ``d_unitaries`` stack the gauge and its parameter derivative at the same
+    nodes.  Returns the pair (W U^T, dW U^T + W dU^T), i.e. psi' = (I (x) U)
+    psi and dpsi' = (I (x) U) dpsi + (I (x) dU) psi.  The checks run stage by
+    stage over the whole stack, not node by node: every U is checked for
+    unitarity (NotUnitaryError for the first failing one), then every W' for
+    its norm (ValidationError for the first failing one).
     """
-    out = []
-    for (psi, x), u, du in zip(samples, unitaries, d_unitaries):
-        u = _check_unitary(u)
-        du = np.asarray(du, dtype=complex)
-        w = psi.amplitude_matrix
-        d = _tangent_matrix(x, psi)
-        psi_new = Purification.from_matrix(w @ u.T)
-        d_new = d @ u.T + w @ du.T
-        out.append((psi_new, TangentVector(psi_new, d_new.ravel())))
-    return out
+    w, d = (np.asarray(x, dtype=complex) for x in samples)
+    u_t = _check_unitary(unitaries).swapaxes(-1, -2)
+    du_t = np.asarray(d_unitaries, dtype=complex).swapaxes(-1, -2)
+    return check_norm_stack(w @ u_t), d @ u_t + w @ du_t

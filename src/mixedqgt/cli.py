@@ -253,10 +253,10 @@ def _grid_axes(model, grid_specs, pole_margin):
             )
         named[name] = (lo, hi, count)
     axes = []
-    for label, (dlo, dhi) in zip(model.param_labels, model.domain):
-        lo, hi, count = named.get(label, (dlo, dhi, DEFAULT_GRID_COUNT))
-        if label == "theta" and pole_margin > 0:
-            lo_c, hi_c = max(lo, dlo + pole_margin), min(hi, dhi - pole_margin)
+    for label, domain in zip(model.param_labels, model.domain):
+        lo, hi, count = named.get(label, (*domain, DEFAULT_GRID_COUNT))
+        if label == "theta" and pole_margin > 0:  # the poles sit at 0 and pi, whatever the domain
+            lo_c, hi_c = max(lo, pole_margin), min(hi, np.pi - pole_margin)
             if lo_c >= hi_c:
                 raise _UsageError(
                     f"theta grid [{lo}, {hi}] lies inside the pole margin"

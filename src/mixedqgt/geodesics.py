@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .states import RANK_TOL, DensityMatrix, Purification, check_norm_stack, chunks
-from .bundle import TangentVector, _tangent_matrix, connection
+from .bundle import TangentVector, connection
 
 ORTHOGONALITY_TOL = 1e-9
 HORIZONTALITY_TOL = 1e-8
@@ -177,15 +177,9 @@ def geodesic_tangent(sol, t):
 
 
 def geodesic_samples(sol, times):
-    """(psi(t), dpsi(t)) pairs at the given parameter values, built from the
-    stacked amplitudes and tangents of one ``states.chunks`` slice at a time."""
-    times = np.asarray(times, dtype=float)
-    out = []
-    for s in chunks(times.size, sol.psi0.sys_dim):
-        for w, d in zip(geodesic_amplitudes(sol, times[s]), geodesic_velocities(sol, times[s])):
-            psi = Purification.from_matrix(w)
-            out.append((psi, TangentVector(psi, d)))
-    return out
+    """Amplitudes W(t) and tangents d/dt W(t) at the given times: the pair of
+    (K, N, N) stacks that ``path_length`` takes."""
+    return geodesic_amplitudes(sol, times), geodesic_velocities(sol, times)
 
 
 def ode_residuals(sol, times, h):
@@ -248,18 +242,20 @@ def verify_geodesic_ode(sol, times, fd_step=1e-3):
 def path_length(samples, times):
     """Bures length by composite-trapezoid quadrature of the covariant speed.
 
-    ``samples`` are (psi, dpsi) pairs along any curve; the integrand is
-    sqrt(<D psi|D psi>) at each node.
+    ``samples`` is a pair (W, dW) of (K, N, N) stacks, the amplitude matrices
+    of any curve at the K times and their tangents; the integrand is
+    sqrt(<D psi|D psi>) at each node.  ``connection`` norm-checks W a
+    ``states.chunks`` slice at a time, and each check names the first
+    failing sample.
     """
     times = np.asarray(times, dtype=float)
-    if len(samples) != times.size:
-        raise DimensionMismatchError(
-            f"{len(samples)} samples against {times.size} time nodes"
-        )
+    w, d = (np.asarray(x, dtype=complex) for x in samples)
+    if len(w) != times.size:
+        raise DimensionMismatchError(f"{len(w)} samples against {times.size} time nodes")
+    if d.shape != w.shape:
+        raise DimensionMismatchError(f"tangent stack {d.shape} against amplitude stack {w.shape}")
     if times.size < 2:
         raise ValidationError("need at least two nodes for trapezoid quadrature")
-    w = np.array([psi.amplitude_matrix for psi, _ in samples])
-    d = np.array([_tangent_matrix(dpsi, psi) for psi, dpsi in samples])
     speeds = np.concatenate([np.sqrt(np.clip(_sq_norms(_horizontal(w[s], d[s])[1]), 0.0, None))
                              for s in chunks(len(w), w.shape[-1])])
     return float(np.sum(np.diff(times) * (speeds[1:] + speeds[:-1]) / 2.0))

@@ -597,8 +597,8 @@ class GridModel(ModelFamily):
         mats = mats.view(complex)
         trace = mats.trace(axis1=-2, axis2=-1).real
         drift = np.abs(trace - 1.0)
-        if (drift > 1e-6).any():
-            k = (drift > 1e-6).argmax()
+        if not (drift <= 1e-6).all():  # NaN fails
+            k = (~(drift <= 1e-6)).argmax()
             raise ValidationError(
                 f"interpolated trace drifts by {drift[k]:.3e} > 1e-6 at {points[k].tolist()}"
             )

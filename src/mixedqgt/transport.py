@@ -51,14 +51,14 @@ OVERLAP_MIN = 0.9
 class LiftedCurve:
     """Discretized purification curve over known base points.
 
-    ``amplitudes`` holds the amplitude matrix of each node's purification
-    and ``base`` its base density matrix, both as (K, N, N) stacks; the
-    constructor also takes sequences of Purification and DensityMatrix.
+    ``points`` holds the amplitude matrix of each node's purification and
+    ``base_points`` its base density matrix, both as (K, N, N) stacks; they
+    are kept as ``amplitudes`` and ``base``.
     """
 
     def __init__(self, times, points, base_points):
         times = np.asarray(times, dtype=float)
-        amps, base = _stack(points, "amplitude_matrix"), _stack(base_points, "mat")
+        amps, base = (np.asarray(x, dtype=complex) for x in (points, base_points))
         if not (len(amps) == len(base) == times.size):
             raise DimensionMismatchError(
                 f"{times.size} times, {len(amps)} points, {len(base)} base points"
@@ -80,12 +80,6 @@ class LiftedCurve:
 
     def __len__(self):
         return self.times.size
-
-
-def _stack(items, attr):
-    if isinstance(items, np.ndarray):
-        return items.astype(complex, copy=False)
-    return np.array([getattr(x, attr) for x in items], dtype=complex)
 
 
 def _check_times(times):

