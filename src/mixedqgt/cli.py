@@ -291,7 +291,7 @@ def _cmd_field(args):
     axes = _grid_axes(model, args.grid, margin)
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     # chunk boundaries depend on the state dimension only, never on --workers
-    dim = model.matrix_at(np.mean(model.domain, axis=1)).shape[-1]
+    dim = model.matrices_at(np.mean(model.domain, axis=1)[None]).shape[-1]
     tasks = [(model, scheme, h, points[s]) for s in chunks(len(points), dim)]
     workers = min(args.workers or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:

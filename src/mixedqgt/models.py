@@ -2,8 +2,9 @@
 
 A model family is a validated map from a box-shaped parameter domain to
 density matrices, optionally with analytic derivatives and an analytic
-purification lift.  Families are plain picklable objects so grid sweeps
-can fan out over processes.
+purification lift.  Each family is read through one seam, ``_evaluate``,
+over (K, n) stacks of chart points (see ``ModelFamily``).  Families are
+plain picklable objects so grid sweeps can fan out over processes.
 
 Registration (construction with ``check=True``) probes a 5-per-axis
 lattice of the domain for validity (unless ``certified``) and, when analytic
@@ -37,14 +38,16 @@ DEFAULT_FD_STEP = 1e-5
 class ModelFamily:
     """Base class: named family over a box domain.
 
-    Subclasses implement ``matrix_at`` and may provide
-    ``analytic_derivative_matrices`` (setting ``analytic = True``) and an
-    analytic ``lift``/``lift_tangents`` pair.  ``matrices_at`` and
-    ``derivative_matrices_at`` are their batched forms over (K, n) stacks of
-    points; by default they stack the per-point results, and
-    ``matrices_and_derivatives_at`` returns both (a family may share work
-    between them).  Registration checks its lattice and, through
-    ``_check_derivatives``, its three derivative probes, as stacks.
+    Every family is evaluated through one private seam, ``_evaluate(points,
+    slopes)``: the states (K, N, N) at a (K, n) stack of points and, with
+    ``slopes``, their derivatives (K, n, N, N), else None.  The public stacked
+    methods ``matrices_at``, ``derivative_matrices_at`` and
+    ``matrices_and_derivatives_at`` read it.  By default it stacks the
+    per-point surface a subclass implements: ``matrix_at`` and, setting
+    ``analytic = True``, ``analytic_derivative_matrices``; the built-in
+    families override ``_evaluate`` instead.  A family may also provide an
+    analytic ``lift``/``lift_tangents`` pair.  Registration checks its lattice
+    and, through ``_check_derivatives``, its three derivative probes, as stacks.
     ``certified``: every state inside the domain is known to pass the density
     checks, so registration, ``derivative_stack`` and ``msqgt_field`` skip them.
     """
@@ -76,9 +79,18 @@ class ModelFamily:
         raise NotImplementedError
 
     def analytic_derivative_matrices(self, point):
+        if self.analytic:  # declared, but served by ``_evaluate`` or missing
+            raise NotImplementedError
         raise NoAnalyticDerivativesError(
             f"family {self.name!r} declares no analytic derivatives"
         )
+
+    def _evaluate(self, points, slopes):
+        """The seam (see the class docstring): by default the per-point surface, stacked."""
+        mats = np.array([self.matrix_at(p) for p in points], dtype=complex)
+        drho = np.array([self.analytic_derivative_matrices(p) for p in points],
+                        dtype=complex) if slopes else None
+        return mats, drho
 
     # --- public API ---------------------------------------------------------
     def check_point(self, point, margin=0.0):
@@ -107,24 +119,17 @@ class ModelFamily:
         return points
 
     def matrices_at(self, points):
-        return np.array([self.matrix_at(p) for p in points], dtype=complex)
+        return self._evaluate(np.asarray(points, dtype=float), slopes=False)[0]
 
     def derivative_matrices_at(self, points):
-        return np.array([self.analytic_derivative_matrices(p) for p in points], dtype=complex)
+        return self._evaluate(np.asarray(points, dtype=float), slopes=True)[1]
 
     def matrices_and_derivatives_at(self, points):
-        return self.matrices_at(points), self.derivative_matrices_at(points)
+        return self._evaluate(np.asarray(points, dtype=float), slopes=True)
 
     def evaluate(self, point):
         point = self.check_point(point)
-        return DensityMatrix(self.matrix_at(point))
-
-    @property
-    def has_analytic_derivatives(self):
-        return bool(self.analytic)
-
-    def analytic_derivatives(self, point):
-        return derivatives(self, point, scheme="analytic")
+        return DensityMatrix(self.matrices_at(point[None])[0])
 
     def lift(self, point):
         """Purification of the state at ``point`` (canonical by default)."""
@@ -314,19 +319,10 @@ class BlochQubitModel(ModelFamily):
         super().__init__("bloch-qubit", ("theta", "phi"),
                          ((0.0, np.pi), (0.0, 2 * np.pi)), check=check)
 
-    # the formulas below broadcast over (K, 2) stacks of chart points
-    def matrix_at(self, point):
-        x, y, z = _bloch_axis(point[..., 0], point[..., 1])
-        return 0.5 * _pauli(1.0, self.r * x, self.r * y, self.r * z)
-
-    def analytic_derivative_matrices(self, point):
-        return _bloch_derivatives(point, self.r)
-
-    def matrices_at(self, points):
-        return self.matrix_at(points)
-
-    def derivative_matrices_at(self, points):
-        return self.analytic_derivative_matrices(points)
+    def _evaluate(self, points, slopes):
+        x, y, z = _bloch_axis(points[..., 0], points[..., 1])
+        mats = 0.5 * _pauli(1.0, self.r * x, self.r * y, self.r * z)
+        return mats, _bloch_derivatives(points, self.r) if slopes else None
 
     def _spectral_frame(self, theta, phi):
         half = 0.5 * theta
@@ -377,8 +373,8 @@ class ThermalModel(ModelFamily):
     list or an (n, N, N) array) and enables the analytic density derivatives:
     the exact Frechet derivative of the matrix exponential via first divided
     differences of exp(-beta E) in the instantaneous eigenbasis.  Both are
-    called once per point.  The stacked methods evaluate (K, n) stacks of
-    points in one pass (``_gibbs``); the per-point ones are its K = 1 case.
+    called once per point.  The family's ``_evaluate`` is one pass over a
+    (K, n) stack of points (``_gibbs``), which ``ground_state`` reads too.
     """
 
     def __init__(self, hamiltonian, beta, param_labels, domain,
@@ -392,20 +388,8 @@ class ThermalModel(ModelFamily):
         self.analytic = d_hamiltonian is not None
         super().__init__(name, param_labels, domain, check=check)
 
-    def matrix_at(self, point):
-        return self.matrices_at(np.asarray(point, dtype=float)[None])[0]
-
-    def analytic_derivative_matrices(self, point):
-        return self.derivative_matrices_at(np.asarray(point, dtype=float)[None])[0]
-
-    def matrices_at(self, points):
-        return self._gibbs(points)[2]
-
-    def derivative_matrices_at(self, points):
-        return self._gibbs(points, slopes=True)[3]
-
-    def matrices_and_derivatives_at(self, points):
-        return self._gibbs(points, slopes=True)[2:]
+    def _evaluate(self, points, slopes):
+        return self._gibbs(points, slopes)[2:]
 
     def _gibbs(self, points, slopes=False):
         """Shifted spectra E - E_min (K, N), eigenvectors, states and, with ``slopes``,
@@ -414,7 +398,6 @@ class ThermalModel(ModelFamily):
         any derivative is checked; each stack by one Hermitian check."""
         if slopes and not self.analytic:  # raises NoAnalyticDerivativesError
             ModelFamily.analytic_derivative_matrices(self, points)
-        points = np.asarray(points, dtype=float)
         hs = np.array([self.hamiltonian(p) for p in points], dtype=complex)
         _check_hermitian(hs, "Hamiltonian")
         energies, vecs = states._eigh(hs)
@@ -509,10 +492,10 @@ class GridModel(ModelFamily):
 
     Interpolation preserves Hermiticity and positivity (convex weights);
     the trace may drift, so it is renormalized when it is off by more than
-    1e-12 and rejected when it is off by more than 1e-6.  ``matrices_at``
+    1e-12 and rejected when it is off by more than 1e-6.  ``_evaluate``
     interpolates a (K, n) stack of points in one pass: one ``searchsorted``
     per axis, then one gather of the 2^n cell corners of every point, summed
-    in corner order.  ``matrix_at`` is its one-point case.
+    in corner order.
 
     The analytic derivatives are exact: in a cell, along axis nu, the upper
     minus lower node differences on that axis over the cell width, weighted
@@ -536,21 +519,6 @@ class GridModel(ModelFamily):
         self.values = np.asarray(values, dtype=complex)
         domain = [(g[0], g[-1]) for g in self.grids]
         super().__init__("grid-model", param_names, domain, check=check)
-
-    def matrix_at(self, point):
-        return self.matrices_at([point])[0]
-
-    def analytic_derivative_matrices(self, point):
-        return self.derivative_matrices_at(np.asarray(point, dtype=float)[None])[0]
-
-    def matrices_at(self, points):
-        return self._interpolate(points, slopes=False)[0]
-
-    def derivative_matrices_at(self, points):
-        return self._interpolate(points, slopes=True)[1]
-
-    def matrices_and_derivatives_at(self, points):
-        return self._interpolate(points, slopes=True)
 
     def _check_derivatives(self, probes):
         """Nothing to compare: the derivatives are exact in the nodes."""
@@ -576,10 +544,9 @@ class GridModel(ModelFamily):
         return np.matmul(np.stack(signed, axis=1), corners.reshape(count, size, -1)).reshape(
             count, len(his), *corners.shape[-2:])
 
-    def _interpolate(self, points, slopes):
+    def _evaluate(self, points, slopes):
         """States at a (K, n) stack of points and, with ``slopes``, their (K, n, N, N)
         derivatives (see the class docstring), else None."""
-        points = np.asarray(points, dtype=float)
         his, weights = [], []  # per axis: each point's upper cell node, its lower node's weight
         for x, g in zip(points.T, self.grids):
             his.append(np.clip(np.searchsorted(g, x), 1, g.size - 1))

@@ -90,7 +90,7 @@ def _check_times(times):
 
 
 def _canonical_nodes(base_curve, times):
-    """Validated base matrices and the spectral purification of every node.
+    """Validated base matrices, and each node's spectral purification and lowest eigenvalue.
 
     The base stack is the curve's own ``stack(times)`` if it has one, else
     its values at each t, stacked.
@@ -100,10 +100,11 @@ def _canonical_nodes(base_curve, times):
     else:
         base = np.array([getattr(rho, "mat", rho) for rho in map(base_curve, times)],
                         dtype=complex)
-    amps = np.empty_like(base)
+    amps, low = np.empty_like(base), np.empty(len(base))
     for s in chunks(len(base), base.shape[-1]):
-        amps[s] = _by_node(DensityStack, base[s]).root
-    return base, amps
+        stack = _by_node(DensityStack, base[s])
+        amps[s], low[s] = stack.root, stack.min_eigenvalue
+    return base, amps, low
 
 
 def _column_overlaps(amps):
@@ -160,34 +161,34 @@ def reference_lift(base_curve, times, gauge=None):
     and decomposed as stacks (see ``_canonical_nodes``).
     """
     times = _check_times(times)
-    return _aligned_lift(times, *_canonical_nodes(base_curve, times), gauge)
+    return _aligned_lift(times, *_canonical_nodes(base_curve, times)[:2], gauge)
 
 
-def _start_alignment(reference, psi_start):
-    """Environment unitary u0 with psi_start = (I (x) u0) psi_c(0)."""
-    base0 = DensityMatrix(reference.base[0])
+def _start_alignment(reference, psi_start, low):
+    """Environment unitary u0 with psi_start = (I (x) u0) psi_c(0); ``low`` is
+    the smallest eigenvalue of the base point rho(0)."""
     w_start = psi_start.amplitude_matrix
-    err = float(np.max(np.abs(w_start @ w_start.conj().T - base0.mat)))
+    err = float(np.max(np.abs(w_start @ w_start.conj().T - reference.base[0])))
     if err > PROJECTION_TOL:
         raise ValidationError(
             f"start state does not purify the loop base point"
             f" (max deviation {err:.3e} > {PROJECTION_TOL:.1e})"
         )
-    if not base0.full_rank:
+    if not low > RANK_TOL:
         raise RankDeficientError(
-            f"base point min eigenvalue {base0.min_eigenvalue:.3e} <= rank floor"
+            f"base point min eigenvalue {low:.3e} <= rank floor"
             f" {RANK_TOL:.1e}: start alignment is not unique"
         )
     u0 = np.linalg.solve(reference.amplitudes[0], w_start).T
     return _check_unitary(u0, tol=1e-8)
 
 
-def _transport_unitaries(reference, psi_start):
+def _transport_unitaries(reference, psi_start, low):
     """The environment unitaries U_k = u0 f_1 ... f_k of the transport from
     psi_start, one per node as a (K, N, N) stack: u0 is the start alignment
-    and f_k = exp(-i A^c(t + dt/2) dt) the midpoint factor of step k.  The
-    factors are formed a chunk of steps at a time into the stack after u0,
-    then ``_prefix_products`` multiplies them out in place."""
+    (``low``: rho(0)'s smallest eigenvalue) and f_k = exp(-i A^c(t + dt/2) dt)
+    the midpoint factor of step k.  The factors are formed a chunk of steps at a
+    time into the stack after u0, then ``_prefix_products`` multiplies them out."""
     amps, dts = reference.amplitudes, np.diff(reference.times)
     ov = np.abs(_column_overlaps(amps).sum(axis=-1))
     if (ov <= OVERLAP_MIN).any():
@@ -198,7 +199,7 @@ def _transport_unitaries(reference, psi_start):
             " canonical lift crosses a phase branch)"
         )
     unitaries = np.empty_like(amps)
-    unitaries[0] = _start_alignment(reference, psi_start)
+    unitaries[0] = _start_alignment(reference, psi_start, low)
     for s in chunks(len(dts), amps.shape[-1]):
         w0, w1, dt = amps[:-1][s], amps[1:][s], dts[s]
         mid = 0.5 * (w0 + w1)
@@ -236,7 +237,9 @@ def horizontal_lift(reference, psi_start=None):
     """
     if psi_start is None:
         psi_start = Purification.from_matrix(reference.amplitudes[0])
-    unitaries = _transport_unitaries(reference, psi_start)
+    # a LiftedCurve keeps no spectra (holonomy reads rho(0)'s from its nodes)
+    unitaries = _transport_unitaries(reference, psi_start,
+                                     DensityMatrix(reference.base[0]).min_eigenvalue)
     points = reference.amplitudes @ unitaries.swapaxes(-1, -2)
     for s in chunks(len(points), points.shape[-1]):
         check_norm_stack(points[s])
@@ -268,9 +271,9 @@ class HolonomyResult:
     unitarity_residual: float
 
 
-def _holonomy_once(times, base, amps, psi_start, reference_gauge):
+def _holonomy_once(times, base, amps, low, psi_start, reference_gauge):
     reference = _aligned_lift(times, base, amps, reference_gauge)
-    unitaries = _transport_unitaries(reference, psi_start)
+    unitaries = _transport_unitaries(reference, psi_start, low[0])
     closing = np.linalg.solve(reference.amplitudes[0], reference.amplitudes[-1])
     return unitaries[-1] @ closing.T @ unitaries[0].conj().T
 
@@ -296,7 +299,7 @@ def holonomy(base_curve, psi_start=None, steps=DEFAULT_STEPS, reference_gauge=No
         raise ValidationError(f"steps = {n} exceeds MAX_STEPS = {MAX_STEPS}")
     while True:
         times = np.linspace(0.0, 1.0, n + 1)
-        nodes = _canonical_nodes(base_curve, times)  # (base matrices, roots)
+        nodes = _canonical_nodes(base_curve, times)  # (base matrices, roots, lowest eigenvalues)
         gap = float(np.max(np.abs(nodes[0][-1] - nodes[0][0])))
         if gap > CLOSURE_TOL:
             raise NotClosedError(

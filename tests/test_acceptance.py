@@ -23,6 +23,7 @@ from mixedqgt import (
     bures_metric,
     connection,
     connection_schmidt,
+    derivatives,
     env_action,
     fidelity,
     finite_difference_tangent,
@@ -125,7 +126,7 @@ def _suite_route_equivalence():
         for phi in phis:
             point = np.array([theta, phi])
             rho = model.evaluate(point)
-            q_eig = msqgt_eigenroute(rho, model.analytic_derivatives(point))
+            q_eig = msqgt_eigenroute(rho, derivatives(model, point, "analytic"))
             psi, tangents = model.lift_tangents(point)
             q_cov = msqgt_covariant_route(psi, tangents)
             tensors.extend([q_eig, q_cov])
@@ -196,7 +197,7 @@ def test_imaginary_part_is_mean_gauge_curvature():
     for theta in np.linspace(0.5, 2.6, 5):
         for phi in (0.9, 4.1):
             point = np.array([theta, phi])
-            q = msqgt_eigenroute(model.evaluate(point), model.analytic_derivatives(point))
+            q = msqgt_eigenroute(model.evaluate(point), derivatives(model, point, "analytic"))
             t_field = gauge_curvature(field, point)
             sigma = t_field.expectation(model.lift(point))
             worst = max(worst, float(np.max(np.abs(sigma.real - mean_curvature_part(q)))))

@@ -765,14 +765,15 @@ def test_field_json_rows_are_never_held_whole(tmp_path, monkeypatch):
 def test_central_field_sweep_decomposes_no_neighbour(tmp_path, monkeypatch):
     # the certified model checks no neighbour, so eigvalsh runs only for the
     # metric check of each chunk's tensors, plus the set-up check of the 7 x 7
-    # nodes, one per chunk; interpolation is stacked, and GridModel.matrix_at
-    # serves only the probe of N, whatever the sweep's size
+    # nodes, one per chunk; interpolation is stacked: one seam call per chunk
+    # of states and one per chunk of neighbours, plus the probe of N
     _central_field_sweep_counts(tmp_path, monkeypatch)
 
 
 def test_uncertified_central_field_sweep_checks_neighbours_per_chunk(tmp_path, monkeypatch):
     # without the certificate each chunk's +-h neighbours get one stacked
-    # eigvalsh, and registration checks its 5 x 5 lattice too
+    # eigvalsh, and registration checks its 5 x 5 lattice too (one seam call
+    # per chunk, plus its own probe of N)
     monkeypatch.setattr(models, "_certified", lambda values, residuals: False)
     _central_field_sweep_counts(tmp_path, monkeypatch, certified=False)
 
@@ -786,13 +787,15 @@ def _central_field_sweep_counts(tmp_path, monkeypatch, certified=True):
         calls = defaultdict(int)
         with monkeypatch.context() as patch:
             patch.setattr(states, "_eigvalsh", counted(calls, "eigvalsh", states._eigvalsh))
-            patch.setattr(GridModel, "matrix_at", counted(calls, "matrix_at", GridModel.matrix_at))
+            patch.setattr(GridModel, "_evaluate", counted(calls, "_evaluate", GridModel._evaluate))
             assert cli.main(["field", "--model", str(path), "--scheme", "central:1e-5",
                              "--grid", f"theta:0.4:2.7:{count}", "--grid", f"phi:0.1:6.1:{count}",
                              "--output", str(tmp_path / "field.csv")]) == 0
-        setup = len(states.chunks(7 ** 2, 2)) + (not certified) * len(states.chunks(5 ** 2, 2))
+        lattice = len(states.chunks(5 ** 2, 2))
+        setup = len(states.chunks(7 ** 2, 2)) + (not certified) * lattice
         sweep = (2 - certified) * len(states.chunks(count ** 2, 2))  # metric (and neighbours)
-        assert calls == {"eigvalsh": sweep + setup, "matrix_at": 1}
+        evaluations = 1 + 2 * len(states.chunks(count ** 2, 2)) + (not certified) * (1 + lattice)
+        assert calls == {"eigvalsh": sweep + setup, "_evaluate": evaluations}
     assert len(states.chunks(11 ** 2, 2)) == 18
 
 

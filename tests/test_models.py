@@ -58,7 +58,7 @@ def test_bloch_model_matrix():
 
 def test_bloch_analytic_derivatives_at_equator():
     model = BlochQubitModel(r=0.9)
-    d_theta, d_phi = model.analytic_derivatives([np.pi / 2, 0.0])
+    d_theta, d_phi = derivatives(model, [np.pi / 2, 0.0], "analytic")
     assert np.allclose(d_theta, -0.45 * SZ, atol=1e-14)
     assert np.allclose(d_phi, 0.45 * SY, atol=1e-14)
 
@@ -74,8 +74,9 @@ def test_central_differences_match_analytic():
 
 def test_registration_check_catches_wrong_analytic_derivatives():
     class Lying(BlochQubitModel):
-        def analytic_derivative_matrices(self, point):
-            return [1.1 * m for m in super().analytic_derivative_matrices(point)]
+        def _evaluate(self, points, slopes):
+            mats, drho = super()._evaluate(points, slopes)
+            return mats, None if drho is None else 1.1 * drho
 
     with pytest.raises(ValidationError):
         Lying(r=0.9)
@@ -136,7 +137,7 @@ def test_thermal_model_matches_gibbs_oracle():
 def test_thermal_analytic_derivatives_match_central():
     model = rotated_field_qubit(5.0, gap=0.5)
     pt = [1.2, 0.8]
-    ana = model.analytic_derivatives(pt)
+    ana = derivatives(model, pt, "analytic")
     num = derivatives(model, pt, scheme="central", h=1e-5)
     assert max(np.max(np.abs(a - b)) for a, b in zip(ana, num)) < 1e-7
 
@@ -193,12 +194,8 @@ def test_stacked_gibbs_states_are_the_oracle_and_the_per_point_rows(n, count, be
     dhs = [[rand_herm(rng, n) for _ in range(2)] for _ in range(count)]
     model = _indexed_thermal(hs, dhs, beta)
     points = np.column_stack([np.arange(count) + 0.5, rng.uniform(0.0, 1.0, count)])
-    mats, drho = model.matrices_and_derivatives_at(points)
-    assert model.matrices_at(points).tobytes() == mats.tobytes()
-    assert model.derivative_matrices_at(points).tobytes() == drho.tobytes()
-    for k, point in enumerate(points):
-        assert model.matrix_at(point).tobytes() == mats[k].tobytes()
-        assert model.analytic_derivative_matrices(point).tobytes() == drho[k].tobytes()
+    mats, drho = _seam_rows(model, points)
+    for k in range(count):
         rho, d_rho = _gibbs_oracle(hs[k], dhs[k], beta)
         assert np.abs(mats[k] - rho).max() <= 1e-12
         assert np.abs(drho[k] - d_rho).max() <= 1e-12 * beta
@@ -227,7 +224,7 @@ def test_stacked_hamiltonian_check_names_the_first_failing_item():
             call(points)
         assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = 2.000e-03"
     with pytest.raises(NotHermitianError) as exc:
-        model.matrix_at(points[3])
+        model.matrices_at(points[3:])
     assert str(exc.value) == "Hamiltonian not Hermitian: max|H - H^dag| = 1.000e-02"
 
 
@@ -271,16 +268,20 @@ class _TraceTwoFamily(ModelFamily):
 def test_families_without_analytic_derivatives_say_so():
     thermal = ThermalModel(lambda point: float(point[0]) * SZ + SX, 2.0, ["x"], [(-1.0, 1.0)])
     assert not thermal.analytic
+    calls = defaultdict(int)
+    thermal.hamiltonian = counted(calls, "hamiltonian", thermal.hamiltonian)
     broken = _TraceTwoFamily("broken", ["x"], [(0.0, 1.0)], check=False)
     for model, name in ((thermal, "thermal"), (broken, "broken")):
         for call in (lambda: model.analytic_derivative_matrices(np.array([0.5])),
                      lambda: model.derivative_matrices_at(np.array([[0.25], [0.5]])),
+                     lambda: model.matrices_and_derivatives_at(np.array([[0.25], [0.5]])),
                      lambda: derivatives(model, [0.5], scheme="analytic"),
                      # before any density check of the states
                      lambda: msqgt_field(model, np.array([[0.25], [0.5]]), "analytic")):
             with pytest.raises(NoAnalyticDerivativesError) as exc:
                 call()
             assert str(exc.value) == f"family '{name}' declares no analytic derivatives"
+    assert not calls  # refused before the Gibbs pass reads a Hamiltonian
     with pytest.raises(TraceNotOneError):
         msqgt_field(broken, np.array([[0.5]]), "central")
     q, _, _ = msqgt_field(thermal, np.array([[0.5]]), "central")
@@ -409,12 +410,11 @@ def test_grid_model_has_analytic_derivatives():
     doc = export_grid_model(BlochQubitModel(r=0.9),
                             [np.linspace(0.3, 2.8, 5), np.linspace(0.0, 6.0, 5)])
     grid = load_grid_model(doc)
-    assert grid.has_analytic_derivatives
+    assert grid.analytic
     point = np.array([1.0, 1.0])
     exact = derivatives(grid, point, scheme="analytic")
     # the one-point case of the stacked derivatives, and the matrices' own limit
     assert np.array_equal(exact, grid.derivative_matrices_at(point[None])[0])
-    assert np.array_equal(exact, grid.analytic_derivative_matrices(point))
     assert np.allclose(exact, derivatives(grid, point, scheme="central"), rtol=0, atol=1e-10)
 
 
@@ -443,7 +443,7 @@ def test_dense_grid_reproduces_tensor_at_nodes():
     for it, ip in [(10, 7), (32, 32), (50, 44)]:
         pt = [thetas[it], phis[ip]]
         q_grid = msqgt_eigenroute(grid.evaluate(pt), derivatives(grid, pt, h=h))
-        q_true = msqgt_eigenroute(model.evaluate(pt), model.analytic_derivatives(pt))
+        q_true = msqgt_eigenroute(model.evaluate(pt), derivatives(model, pt, "analytic"))
         assert np.max(np.abs(q_grid.entries - q_true.entries)) < 1e-3
 
 
@@ -525,7 +525,7 @@ def test_stacked_interpolation_is_the_per_point_loop_bit_for_bit(dim, sizes):
     stack = model.matrices_at(points)
     for point, mat in zip(points, stack):
         assert np.array_equal(mat, _loop_matrix_at(model, point))
-        assert np.array_equal(model.matrix_at(point), mat)  # the K = 1 case
+        assert np.array_equal(model.matrices_at(point[None])[0], mat)  # the K = 1 case
     assert np.array_equal(model.matrices_at(points[:1]), stack[:1])
 
 
@@ -564,7 +564,7 @@ def test_stacked_interpolation_names_the_first_drifting_point():
         model.matrices_at(points)
     assert str(exc.value) == "interpolated trace drifts by 1.800e-05 > 1e-6 at [1.9]"
     with pytest.raises(ValidationError) as single:
-        model.matrix_at(points[1])
+        model.matrices_at(points[1:2])
     assert str(single.value) == str(exc.value)
 
 
@@ -648,6 +648,66 @@ class _Patchwork(ModelFamily):
         return [0.15 * np.cos(x) * SX + lie * SZ, -0.2 * np.sin(y) * SZ]
 
 
+def _seam_rows(model, points):
+    """The states and derivatives at a stack of points from one
+    ``matrices_and_derivatives_at`` call, after checking that they are byte for
+    byte the two one-sided calls and, row by row, the K = 1 calls."""
+    mats, drho = model.matrices_and_derivatives_at(points)
+    assert model.matrices_at(points).tobytes() == mats.tobytes()
+    assert model.derivative_matrices_at(points).tobytes() == drho.tobytes()
+    assert model.matrices_at(points.tolist()).tobytes() == mats.tobytes()  # any array-like
+    for k in range(len(points)):
+        one, d_one = model.matrices_and_derivatives_at(points[k:k + 1])
+        assert one.tobytes() == mats[k:k + 1].tobytes()
+        assert d_one.tobytes() == drho[k:k + 1].tobytes()
+        assert model.matrices_at(points[k:k + 1]).tobytes() == one.tobytes()
+        assert model.derivative_matrices_at(points[k:k + 1]).tobytes() == d_one.tobytes()
+        assert model.evaluate(points[k]).mat.tobytes() == mats[k].tobytes()
+    return mats, drho
+
+
+SEAM_FAMILIES = {
+    "bloch": lambda: BlochQubitModel(r=0.9),
+    "thermal-qubit": lambda: rotated_field_qubit(2.0),
+    "grid": lambda: load_grid_model(export_grid_model(
+        BlochQubitModel(r=0.8), [np.linspace(0.3, 2.8, 5), np.linspace(0.0, 6.2, 5)])),
+    "per-point": _Patchwork,
+}
+
+
+@pytest.mark.parametrize("family", list(SEAM_FAMILIES))
+def test_one_seam_call_is_its_parts_and_its_rows_byte_for_byte(family):
+    # the built-in families override the seam; _Patchwork stacks its per-point surface
+    model = SEAM_FAMILIES[family]()
+    lo, hi = np.array(model.domain).T
+    fracs = np.random.default_rng(70).uniform(0.0, 1.0, (6, 2))
+    # a domain corner, and the midpoint: a node of the grid model's two axes
+    points = lo + np.concatenate([[[0.0, 0.0], [0.5, 0.5]], fracs]) * (hi - lo)
+    _seam_rows(model, points)
+
+
+class _Nothing(ModelFamily):
+    """A family that implements neither the per-point surface nor the seam."""
+
+
+def test_a_family_without_either_surface_is_not_implemented():
+    with pytest.raises(NotImplementedError):
+        _Nothing("nothing", ["x"], [(0.0, 1.0)])
+    model = _Nothing("nothing", ["x"], [(0.0, 1.0)], check=False)
+    # NotImplementedError, not a RecursionError between the two surfaces
+    for call in (lambda: model.evaluate([0.5]),
+                 lambda: model.matrices_at(np.array([[0.5]])),
+                 lambda: msqgt_field(model, np.array([[0.5]]), "analytic"),
+                 lambda: msqgt_field(model, np.array([[0.5]]), "central")):
+        with pytest.raises(NotImplementedError):
+            call()
+    # the built-in families serve the stacked surface only
+    for call in (BlochQubitModel(r=0.9).matrix_at,
+                 rotated_field_qubit(2.0).analytic_derivative_matrices):
+        with pytest.raises(NotImplementedError):
+            call(np.array([1.0, 1.0]))
+
+
 def _first_error(fn):
     """(class, message) of the package error ``fn`` raises, None if none."""
     try:
@@ -667,7 +727,7 @@ def _loop_registration(model):
     tol = 10.0 * 1e-5 ** 2
     for frac in (0.3, 0.5, 0.7):
         point = np.array([lo + frac * (hi - lo) for lo, hi in model.domain])
-        exact = model.analytic_derivatives(point)
+        exact = derivatives(model, point, "analytic")
         approx = derivatives(model, point, scheme="central")
         worst = float(np.max(np.abs(np.array(exact) - np.array(approx))))
         if not worst <= tol:

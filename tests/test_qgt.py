@@ -78,7 +78,7 @@ def test_bloch_tensor_matches_closed_form():
     model = BlochQubitModel(r=r)
     for theta, phi in [(0.6, 0.3), (1.3, 2.0), (2.2, 5.1)]:
         q = msqgt_eigenroute(model.evaluate([theta, phi]),
-                             model.analytic_derivatives([theta, phi]))
+                             derivatives(model, [theta, phi], "analytic"))
         e = q.entries
         assert np.isclose(e[0, 0].real, r * r / 4, atol=1e-12)
         assert np.isclose(e[1, 1].real, r * r * np.sin(theta) ** 2 / 4, atol=1e-12)
@@ -221,7 +221,7 @@ def test_curvature_expectation_matches_imaginary_part():
         t = gauge_curvature(field, point, chart=model.param_labels)
         psi, _ = model.lift_tangents(point)
         sigma = t.expectation(psi)
-        q = msqgt_eigenroute(model.evaluate(point), model.analytic_derivatives(point))
+        q = msqgt_eigenroute(model.evaluate(point), derivatives(model, point, "analytic"))
         assert np.max(np.abs(sigma.real - q.entries.imag)) < 1e-6
         assert np.max(np.abs(sigma.imag)) < 1e-10
 

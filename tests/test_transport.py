@@ -466,6 +466,23 @@ def test_environment_rank_floor_names_the_first_failing_step():
     assert str(raised.value).startswith("sigma min eigenvalue 2.4")
 
 
+@pytest.mark.parametrize("low, text", [(3e-11, "3.000e-11"), (-5e-13, "-5.000e-13")])
+def test_start_alignment_below_the_rank_floor_is_not_unique(low, text):
+    # node 0's smallest eigenvalue, as its density check found it; the loop
+    # turns its eigenframe by pi, so it closes
+    mats = _rotated(np.linspace(0.0, np.pi, 9), spectrum=(1.0 - low, low))
+    mats[0] = mats[-1] = np.diag([1.0 - low, low])
+    curve = _NodeCurve(mats, stacked=True)
+    message = (f"base point min eigenvalue {text} <= rank floor 1.0e-10:"
+               " start alignment is not unique")
+    with pytest.raises(RankDeficientError) as lifted:
+        horizontal_lift(reference_lift(curve, curve.times()))
+    assert str(lifted.value) == message
+    with pytest.raises(RankDeficientError) as closed:
+        holonomy(curve, steps=8)
+    assert str(closed.value) == message
+
+
 def test_start_alignment_must_be_unitary():
     # a start state within the projection tolerance whose alignment with the
     # reference is 4e-6 away from unitary: the small eigenvalue amplifies it
